@@ -4,7 +4,9 @@ package csmabw
 // evaluation (there are no numbered tables), each regenerating the
 // figure's series at a reduced but statistically meaningful scale and
 // reporting the headline quantities as custom metrics; plus ablation
-// benchmarks for the design choices DESIGN.md calls out.
+// benchmarks that toggle one modelling or analysis choice each (ACK
+// rate, KS interpolation, MSER batching, post-backoff) and report the
+// difference it makes.
 //
 // Run everything with:
 //
@@ -447,7 +449,7 @@ func BenchmarkRunnerScaling(b *testing.B) {
 	sweep(b, "fig09", fig09)
 }
 
-// --- Ablation benches (DESIGN.md §5) ---
+// --- Ablation benches: one modelling or analysis choice toggled each ---
 
 // BenchmarkAblationAckRate compares link capacity with ACKs at the
 // basic rate (standard) vs at the data rate.
@@ -578,20 +580,23 @@ func BenchmarkMACEngine(b *testing.B) {
 }
 
 // BenchmarkTrainReplication is the allocation benchmark of the
-// replication unit itself — one train measurement end to end, the body
-// the dense figures execute tens of thousands of times. Compare
-// allocs/op against the packet count (train of 200 plus the consumed
-// cross-traffic): the ratio must stay far below one allocation per
-// packet.
+// replication unit itself — one train measurement end to end on a
+// fresh engine (a nil meter), the reference the engine-reusing meter
+// path improves on. Compare allocs/op against the packet count (train
+// of 200 plus the consumed cross-traffic): the ratio must stay far
+// below one allocation per packet.
 func BenchmarkTrainReplication(b *testing.B) {
-	l := probe.Link{
+	plan, err := probe.PlanTrain(probe.Link{
 		Contenders: []probe.Flow{{RateBps: 4e6, Size: 1500}},
 		Seed:       11,
+	}, 200, 5e6)
+	if err != nil {
+		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := probe.MeasureTrainOne(l, 200, 5e6, i); err != nil {
+		if _, err := plan.MeasureOne(nil, i); err != nil {
 			b.Fatal(err)
 		}
 	}

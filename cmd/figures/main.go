@@ -1,6 +1,8 @@
 // Command figures regenerates every figure of the paper's evaluation
 // and writes one CSV per figure, printing each in the selected format
-// to stdout. See DESIGN.md for the experiment index.
+// to stdout. The experiment index is the registry in
+// internal/experiments/registry.go; docs/ARCHITECTURE.md ("How a
+// figure is born") describes how an entry is added.
 //
 // Usage:
 //

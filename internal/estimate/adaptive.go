@@ -6,7 +6,6 @@ import (
 
 	"csmabw/internal/probe"
 	"csmabw/internal/runner"
-	"csmabw/internal/sim"
 	"csmabw/internal/stats"
 )
 
@@ -69,6 +68,8 @@ func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
 // replications, with the half-width propagated from the gap
 // statistics to first order.
 //
+// The train is planned once per campaign, and each batch runs on
+// per-worker meters that reuse one engine across that worker's trains.
 // Replication k's randomness is a pure function of (l.Seed, k), so the
 // result is byte-identical at any l.Workers setting and the k-th train
 // is the same train no matter how batches are scheduled.
@@ -94,11 +95,12 @@ func Adaptive(l probe.Link, cfg AdaptiveConfig) (Estimate, error) {
 	if err := cfg.Budget.validate(); err != nil {
 		return Estimate{}, err
 	}
-	ld := l.WithDefaults()
-	gI := sim.Time(0)
-	if cfg.RateBps > 0 {
-		gI = sim.FromSeconds(float64(ld.ProbeSize*8) / cfg.RateBps)
+	plan, err := probe.PlanTrain(l, cfg.TrainLen, cfg.RateBps)
+	if err != nil {
+		return Estimate{}, err
 	}
+	gI := plan.GI()
+	probeBits := float64(l.WithDefaults().ProbeSize * 8)
 
 	est := Estimate{}
 	tracker := budgetTracker{budget: cfg.Budget}
@@ -118,9 +120,11 @@ func Adaptive(l probe.Link, cfg AdaptiveConfig) (Estimate, error) {
 			break
 		}
 		start := done
-		fresh, err := runner.Map(batch, l.Workers, func(i int) (probe.TrainSample, error) {
-			return probe.MeasureTrainOne(l, cfg.TrainLen, cfg.RateBps, start+i)
-		})
+		fresh, err := runner.MapBatches(batch, l.Workers, 0,
+			func() *probe.TrainMeter { return &probe.TrainMeter{} },
+			func(m *probe.TrainMeter, i int) (probe.TrainSample, error) {
+				return plan.MeasureOne(m, start+i)
+			})
 		if err != nil {
 			return est, err
 		}
@@ -137,7 +141,7 @@ func Adaptive(l probe.Link, cfg AdaptiveConfig) (Estimate, error) {
 			continue
 		}
 		sum := stats.Summarize(gs)
-		est.Value = float64(ld.ProbeSize*8) / sum.Mean
+		est.Value = probeBits / sum.Mean
 		// First-order propagation: a relative error on E[gO] is the same
 		// relative error on L/E[gO]. A budgeted campaign widens the
 		// half-width by the loss-aware sigma inflation — lossy links must

@@ -149,6 +149,30 @@ func TestAdaptiveBudgetExhausted(t *testing.T) {
 	}
 }
 
+// TestAdaptiveReusesEngine pins the engine reuse of the adaptive
+// controller: each batch's trains run on per-worker meters whose
+// simulation engine is Reset between replications, so a train costs
+// about 31 allocations (its sample, sources and closures) instead of
+// the ~67 a freshly built engine per train costs. The campaign is
+// fixed — an unreachable target drives it to exactly MaxReps trains
+// in batches of 8 on one worker.
+func TestAdaptiveReusesEngine(t *testing.T) {
+	const trains = 200
+	l := testLink(12, 2e6)
+	l.Workers = 1
+	cfg := AdaptiveConfig{RateBps: 12e6, TrainLen: 50, TargetRel: 1e-6, MaxReps: trains}
+	campaign := func() {
+		est, err := Adaptive(l, cfg)
+		if !errors.Is(err, ErrTargetNotReached) || est.Cost.Trains != trains {
+			t.Fatalf("campaign ran %d trains (err %v), want %d and ErrTargetNotReached", est.Cost.Trains, err, trains)
+		}
+	}
+	perTrain := testing.AllocsPerRun(1, campaign) / trains
+	if perTrain > 40 {
+		t.Fatalf("%.1f allocations per adaptive train, want <= 40", perTrain)
+	}
+}
+
 // TestEstimatorsWorkerDeterminism: every estimator derives randomness
 // purely from (seed, round, replication), so the result must be
 // byte-identical at any worker count.

@@ -168,7 +168,7 @@ func AbestAccuracy(p AbestParams, sc Scale) (*Figure, error) {
 			}
 			return nil
 		},
-		RunOne: func(u int, stream sim.Stream) (pt, error) {
+		RunOne: func(_ *probe.TrainMeter, u int, stream sim.Stream) (pt, error) {
 			point, k := u/abEstimators, u%abEstimators
 			l := probe.Link{ProbeSize: p.PacketSize, Seed: stream.Seed(), Workers: 1}
 			if cr := p.CrossRates[point]; cr > 0 {
@@ -230,7 +230,7 @@ func AbestFrontier(p AbestParams, sc Scale) (*Figure, error) {
 			}
 			return nil
 		},
-		RunOne: func(u int, stream sim.Stream) (pt, error) {
+		RunOne: func(_ *probe.TrainMeter, u int, stream sim.Stream) (pt, error) {
 			if u == 0 {
 				tr, err := estimate.GroundTruth(link(stream), cfg.Truth)
 				return pt{ok: true, val: tr.AvailableBps}, err
@@ -312,7 +312,7 @@ func AbestBudget(p AbestParams, sc Scale) (*Figure, error) {
 			}
 			return nil
 		},
-		RunOne: func(u int, stream sim.Stream) (pt, error) {
+		RunOne: func(_ *probe.TrainMeter, u int, stream sim.Stream) (pt, error) {
 			if u == 0 {
 				tr, err := estimate.GroundTruth(link(stream), cfg.Truth)
 				return pt{ok: true, val: tr.AvailableBps}, err
@@ -415,7 +415,7 @@ func AbestRobust(p AbestParams, sc Scale) (*Figure, error) {
 			}
 			return nil
 		},
-		RunOne: func(u int, stream sim.Stream) (pt, error) {
+		RunOne: func(_ *probe.TrainMeter, u int, stream sim.Stream) (pt, error) {
 			scen, k := u/abEstimators, u%abEstimators
 			l := probe.Link{
 				ProbeSize:  p.PacketSize,

@@ -3,14 +3,15 @@ package experiments
 import (
 	"csmabw/internal/mac"
 	"csmabw/internal/phy"
+	"csmabw/internal/probe"
 	"csmabw/internal/sim"
 	"csmabw/internal/stats"
 	"csmabw/internal/traffic"
 )
 
-// AblationParams configures the immediate-access ablation (DESIGN.md
-// §5): the same probing scenario run with standard DCF and with
-// immediate access disabled, showing that the first-packet acceleration
+// AblationParams configures the immediate-access ablation: the same
+// probing scenario run with standard DCF and with immediate access
+// disabled, showing that the first-packet acceleration
 // is the mechanism behind the access-delay transient.
 type AblationParams struct {
 	ProbeRateBps float64
@@ -65,7 +66,7 @@ func AblationImmediateAccess(p AblationParams, sc Scale) (*Figure, error) {
 	return Run(Scenario[[]float64]{
 		Seed:  p.Seed,
 		Units: 2 * sc.Reps,
-		RunOne: func(u int, _ sim.Stream) ([]float64, error) {
+		RunOne: func(_ *probe.TrainMeter, u int, _ sim.Stream) ([]float64, error) {
 			return runOne(u >= sc.Reps, u%sc.Reps)
 		},
 		Reduce: func(rowSets [][]float64) (*Figure, error) {

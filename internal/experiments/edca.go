@@ -7,7 +7,6 @@ import (
 	"csmabw/internal/phy"
 	"csmabw/internal/probe"
 	"csmabw/internal/sim"
-	"csmabw/internal/stats"
 )
 
 // This file holds the heterogeneous-cell experiments: the paper
@@ -76,71 +75,14 @@ func (p EDCATransientParams) curveLink(curve int) probe.Link {
 // bias the paper corrects is itself a function of the probe's QoS
 // class. Units are the (category, replication) pairs.
 func EDCATransient(p EDCATransientParams, sc Scale) (*Figure, error) {
-	type unit struct {
-		curve  int
-		sample probe.TrainSample
+	names := make([]string, len(p.ACs))
+	links := make([]probe.Link, len(p.ACs))
+	for c, ac := range p.ACs {
+		names[c] = fmt.Sprintf("probe %s", ac)
+		links[c] = p.curveLink(c)
 	}
-	var plans []*probe.TrainPlan
-	return Run(Scenario[unit]{
-		Seed:  p.Seed,
-		Units: len(p.ACs) * sc.Reps,
-		Build: func() error {
-			for _, ac := range p.ACs {
-				if !ac.Valid() {
-					return fmt.Errorf("experiments: invalid access category %v", ac)
-				}
-			}
-			if !p.CrossAC.Valid() {
-				return fmt.Errorf("experiments: invalid cross access category %v", p.CrossAC)
-			}
-			// One plan per probing category: the per-curve link (probe AC
-			// and seed vary) is resolved once here, not once per unit.
-			plans = make([]*probe.TrainPlan, len(p.ACs))
-			for curve := range p.ACs {
-				plan, err := probe.PlanTrain(p.curveLink(curve), p.TrainLen, p.ProbeRateBps)
-				if err != nil {
-					return err
-				}
-				plans[curve] = plan
-			}
-			return nil
-		},
-		NewWorker: func() any { return &probe.TrainMeter{} },
-		RunOneOn: func(ws any, u int, _ sim.Stream) (unit, error) {
-			curve, rep := u/sc.Reps, u%sc.Reps
-			s, err := plans[curve].MeasureOne(ws.(*probe.TrainMeter), rep)
-			return unit{curve: curve, sample: s}, err
-		},
-		Reduce: func(units []unit) (*Figure, error) {
-			fig := &Figure{
-				ID:     "edca-transient",
-				Title:  "Mean access delay vs probe packet number per access category",
-				XLabel: "packet #",
-				YLabel: "access delay (ms)",
-			}
-			for c, ac := range p.ACs {
-				var samples []probe.TrainSample
-				for _, u := range units {
-					if u.curve == c {
-						samples = append(samples, u.sample)
-					}
-				}
-				ts := probe.TrainStats{Samples: samples}
-				means := stats.RunningMeans(ts.DelaysByIndex())
-				n := p.Show
-				if n > len(means) {
-					n = len(means)
-				}
-				s := Series{Name: fmt.Sprintf("probe %s", ac)}
-				for i := 0; i < n; i++ {
-					s.X = append(s.X, float64(i+1))
-					s.Y = append(s.Y, means[i]*1e3)
-				}
-				fig.Series = append(fig.Series, s)
-			}
-			return fig, nil
-		},
-	}, sc)
+	return meanDelayFigure("edca-transient", "Mean access delay vs probe packet number per access category",
+		p.Seed, names, links, p.TrainLen, p.ProbeRateBps, p.Show, sc)
 }
 
 // RateAnomalyParams configures the heterogeneous-rate bias experiment:
@@ -205,18 +147,24 @@ func RateAnomaly(p RateAnomalyParams, sc Scale) (*Figure, error) {
 		rate   float64
 		sample probe.TrainSample
 	}
+	plans := make([]*probe.TrainPlan, len(p.ContenderRates))
 	return Run(Scenario[unit]{
 		Seed:  p.Seed,
 		Units: len(p.ContenderRates) * perPoint,
 		Build: func() error {
-			for _, r := range p.ContenderRates {
+			for point, r := range p.ContenderRates {
 				if r <= 0 {
 					return fmt.Errorf("experiments: non-positive contender rate %g", r)
 				}
+				plan, err := probe.PlanTrain(link(point), p.TrainLen, p.SatProbeBps)
+				if err != nil {
+					return err
+				}
+				plans[point] = plan
 			}
 			return nil
 		},
-		RunOne: func(u int, _ sim.Stream) (unit, error) {
+		RunOne: func(m *probe.TrainMeter, u int, _ sim.Stream) (unit, error) {
 			point, k := u/perPoint, u%perPoint
 			if k == sc.Reps {
 				ss, err := probe.MeasureSteadyState(link(point), p.SatProbeBps, dur)
@@ -225,7 +173,7 @@ func RateAnomaly(p RateAnomalyParams, sc Scale) (*Figure, error) {
 				}
 				return unit{point: point, steady: true, rate: ss.ProbeRate}, nil
 			}
-			s, err := probe.MeasureTrainOne(link(point), p.TrainLen, p.SatProbeBps, k)
+			s, err := plans[point].MeasureOne(m, k)
 			return unit{point: point, sample: s}, err
 		},
 		Reduce: func(units []unit) (*Figure, error) {

@@ -7,7 +7,6 @@ import (
 	"csmabw/internal/phy"
 	"csmabw/internal/probe"
 	"csmabw/internal/sim"
-	"csmabw/internal/stats"
 )
 
 // This file holds the imperfect-channel experiments: the scenarios the
@@ -61,7 +60,7 @@ func FERRateResponse(p FERRRCParams, sc Scale) (*Figure, error) {
 			}
 			return nil
 		},
-		RunOne: func(u int, _ sim.Stream) (pt, error) {
+		RunOne: func(_ *probe.TrainMeter, u int, _ sim.Stream) (pt, error) {
 			curve, i := u/nPoints, u%nPoints
 			l := probe.Link{
 				ProbeSize:  p.PacketSize,
@@ -140,65 +139,14 @@ func (p FERTransientParams) curveLink(curve int) probe.Link {
 // probing sequences must outlast. Units are the (FER, replication)
 // pairs.
 func FERTransient(p FERTransientParams, sc Scale) (*Figure, error) {
-	type unit struct {
-		curve  int
-		sample probe.TrainSample
+	names := make([]string, len(p.FERs))
+	links := make([]probe.Link, len(p.FERs))
+	for c, fer := range p.FERs {
+		names[c] = fmt.Sprintf("FER %g%%", fer*100)
+		links[c] = p.curveLink(c)
 	}
-	var plans []*probe.TrainPlan
-	return Run(Scenario[unit]{
-		Seed:  p.Seed,
-		Units: len(p.FERs) * sc.Reps,
-		Build: func() error {
-			// One plan per FER curve, resolved once; replications only run.
-			plans = make([]*probe.TrainPlan, len(p.FERs))
-			for curve, fer := range p.FERs {
-				if err := (phy.ErrorModel{FER: fer}).Validate(); err != nil {
-					return err
-				}
-				plan, err := probe.PlanTrain(p.curveLink(curve), p.TrainLen, p.ProbeRateBps)
-				if err != nil {
-					return err
-				}
-				plans[curve] = plan
-			}
-			return nil
-		},
-		NewWorker: func() any { return &probe.TrainMeter{} },
-		RunOneOn: func(ws any, u int, _ sim.Stream) (unit, error) {
-			curve, rep := u/sc.Reps, u%sc.Reps
-			s, err := plans[curve].MeasureOne(ws.(*probe.TrainMeter), rep)
-			return unit{curve: curve, sample: s}, err
-		},
-		Reduce: func(units []unit) (*Figure, error) {
-			fig := &Figure{
-				ID:     "fer-transient",
-				Title:  "Mean access delay vs probe packet number under frame loss",
-				XLabel: "packet #",
-				YLabel: "access delay (ms)",
-			}
-			for c, fer := range p.FERs {
-				var samples []probe.TrainSample
-				for _, u := range units {
-					if u.curve == c {
-						samples = append(samples, u.sample)
-					}
-				}
-				ts := probe.TrainStats{Samples: samples}
-				means := stats.RunningMeans(ts.DelaysByIndex())
-				n := p.Show
-				if n > len(means) {
-					n = len(means)
-				}
-				s := Series{Name: fmt.Sprintf("FER %g%%", fer*100)}
-				for i := 0; i < n; i++ {
-					s.X = append(s.X, float64(i+1))
-					s.Y = append(s.Y, means[i]*1e3)
-				}
-				fig.Series = append(fig.Series, s)
-			}
-			return fig, nil
-		},
-	}, sc)
+	return meanDelayFigure("fer-transient", "Mean access delay vs probe packet number under frame loss",
+		p.Seed, names, links, p.TrainLen, p.ProbeRateBps, p.Show, sc)
 }
 
 // HiddenParams configures the classic hidden-terminal experiment: the
@@ -258,7 +206,7 @@ func HiddenTerminal(p HiddenParams, sc Scale) (*Figure, error) {
 	return Run(Scenario[pt]{
 		Seed:  p.Seed,
 		Units: nPoints * len(variants),
-		RunOne: func(u int, _ sim.Stream) (pt, error) {
+		RunOne: func(_ *probe.TrainMeter, u int, _ sim.Stream) (pt, error) {
 			v, i := u/nPoints, u%nPoints
 			l := probe.Link{
 				ProbeSize:    p.PacketSize,

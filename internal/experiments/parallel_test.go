@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"csmabw/internal/probe"
 	"csmabw/internal/sim"
 )
 
@@ -74,7 +75,7 @@ func TestScenarioBuildError(t *testing.T) {
 	_, err := Run(Scenario[int]{
 		Units: 4,
 		Build: func() error { return sentinel },
-		RunOne: func(i int, _ sim.Stream) (int, error) {
+		RunOne: func(_ *probe.TrainMeter, i int, _ sim.Stream) (int, error) {
 			t.Error("RunOne called after Build failed")
 			return 0, nil
 		},
@@ -93,7 +94,7 @@ func TestScenarioBuildError(t *testing.T) {
 func TestScenarioUnitError(t *testing.T) {
 	_, err := Run(Scenario[int]{
 		Units: 8,
-		RunOne: func(i int, _ sim.Stream) (int, error) {
+		RunOne: func(_ *probe.TrainMeter, i int, _ sim.Stream) (int, error) {
 			if i == 3 {
 				return 0, errors.New("unit failure")
 			}
@@ -117,7 +118,7 @@ func TestScenarioStreams(t *testing.T) {
 		_, err := Run(Scenario[int]{
 			Seed:  123,
 			Units: len(seeds),
-			RunOne: func(i int, s sim.Stream) (int, error) {
+			RunOne: func(_ *probe.TrainMeter, i int, s sim.Stream) (int, error) {
 				seeds[i] = s.Seed()
 				return 0, nil
 			},
@@ -157,39 +158,18 @@ func TestInvalidScaleErrors(t *testing.T) {
 	}
 }
 
-// TestScenarioExactlyOneRunner: a scenario must set exactly one of
-// RunOne and RunOneOn — both or neither is a configuration bug that
-// Run reports before any work starts.
-func TestScenarioExactlyOneRunner(t *testing.T) {
-	runOne := func(i int, _ sim.Stream) (int, error) { return i, nil }
-	runOn := func(_ any, i int, _ sim.Stream) (int, error) { return i, nil }
-	reduce := func([]int) (*Figure, error) { return &Figure{}, nil }
-	if _, err := Run(Scenario[int]{Units: 2, Reduce: reduce}, Tiny()); err == nil {
-		t.Error("scenario with neither RunOne nor RunOneOn accepted")
-	}
-	if _, err := Run(Scenario[int]{Units: 2, RunOne: runOne, RunOneOn: runOn, Reduce: reduce}, Tiny()); err == nil {
-		t.Error("scenario with both RunOne and RunOneOn accepted")
-	}
-}
-
-// TestScenarioWorkerState: RunOneOn receives the value NewWorker built
-// for the executing worker, once per worker goroutine.
+// TestScenarioWorkerState: every unit receives the train meter Run
+// built for the executing worker — one per worker goroutine, so at
+// most sc.Workers distinct meters serve all the units.
 func TestScenarioWorkerState(t *testing.T) {
-	type arena struct{ tag string }
 	sc := Tiny()
 	sc.Workers = 3
 	units := 12
-	seen := make([]string, units)
+	seen := make([]*probe.TrainMeter, units)
 	_, err := Run(Scenario[int]{
-		Units:     units,
-		NewWorker: func() any { return &arena{tag: "built"} },
-		RunOneOn: func(ws any, i int, _ sim.Stream) (int, error) {
-			a, ok := ws.(*arena)
-			if !ok || a == nil {
-				t.Errorf("unit %d: worker state %T, want *arena", i, ws)
-				return 0, nil
-			}
-			seen[i] = a.tag
+		Units: units,
+		RunOne: func(m *probe.TrainMeter, i int, _ sim.Stream) (int, error) {
+			seen[i] = m
 			return i, nil
 		},
 		Reduce: func([]int) (*Figure, error) { return &Figure{}, nil },
@@ -197,9 +177,14 @@ func TestScenarioWorkerState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, tag := range seen {
-		if tag != "built" {
-			t.Fatalf("unit %d did not receive NewWorker state", i)
+	meters := map[*probe.TrainMeter]bool{}
+	for i, m := range seen {
+		if m == nil {
+			t.Fatalf("unit %d received no meter", i)
 		}
+		meters[m] = true
+	}
+	if len(meters) > sc.Workers {
+		t.Fatalf("%d distinct meters for %d workers", len(meters), sc.Workers)
 	}
 }

@@ -160,12 +160,11 @@ func SelectionRegret(p PathselParams, sc Scale) (*Figure, error) {
 		return nil, err
 	}
 	return Run(Scenario[unit]{
-		Seed:      p.Seed,
-		Units:     len(p.Policies) * sc.Reps,
-		NewWorker: func() any { return &pathsel.Meter{} },
-		RunOneOn: func(ws any, u int, _ sim.Stream) (unit, error) {
+		Seed:  p.Seed,
+		Units: len(p.Policies) * sc.Reps,
+		RunOne: func(m *probe.TrainMeter, u int, _ sim.Stream) (unit, error) {
 			pol, rep := u/sc.Reps, u%sc.Reps
-			res, err := pathsel.Run(p.config(p.Policies[pol], p.Hysteresis), rep, ws.(*pathsel.Meter))
+			res, err := pathsel.Run(p.config(p.Policies[pol], p.Hysteresis), rep, m)
 			return unit{policy: pol, res: res}, err
 		},
 		Reduce: func(units []unit) (*Figure, error) {
@@ -220,13 +219,12 @@ func FailoverLag(p PathselParams, sc Scale) (*Figure, error) {
 	}
 	nH := len(p.HystSweep)
 	return Run(Scenario[unit]{
-		Seed:      p.Seed + 1,
-		Units:     len(p.Policies) * nH * sc.Reps,
-		NewWorker: func() any { return &pathsel.Meter{} },
-		RunOneOn: func(ws any, u int, _ sim.Stream) (unit, error) {
+		Seed:  p.Seed + 1,
+		Units: len(p.Policies) * nH * sc.Reps,
+		RunOne: func(m *probe.TrainMeter, u int, _ sim.Stream) (unit, error) {
 			pol, rest := u/(nH*sc.Reps), u%(nH*sc.Reps)
 			hy, rep := rest/sc.Reps, rest%sc.Reps
-			res, err := pathsel.Run(p.config(p.Policies[pol], p.HystSweep[hy]), rep, ws.(*pathsel.Meter))
+			res, err := pathsel.Run(p.config(p.Policies[pol], p.HystSweep[hy]), rep, m)
 			if err != nil {
 				return unit{}, err
 			}

@@ -1,8 +1,7 @@
 package experiments
 
 import (
-	"fmt"
-
+	"csmabw/internal/probe"
 	"csmabw/internal/runner"
 	"csmabw/internal/sim"
 )
@@ -24,25 +23,15 @@ type Scenario[T any] struct {
 	// driver-specific parameters (the Scale itself is validated by Run).
 	// It runs once, before any unit. Optional.
 	Build func() error
-	// RunOne executes unit i. It must be a pure function of its
-	// arguments: any randomness comes from stream (or another
-	// index-derived source), never from shared mutable state, so unit i
-	// computes the same value whether units run serially or on any
-	// number of workers. Exactly one of RunOne and RunOneOn must be set.
-	RunOne func(i int, stream sim.Stream) (T, error)
-	// NewWorker, when set alongside RunOneOn, builds one private state
-	// value per worker goroutine — typically a *probe.TrainMeter whose
-	// simulation engine is reused across the units that worker executes.
-	// Optional; with RunOneOn and a nil NewWorker every unit receives a
-	// nil state.
-	NewWorker func() any
-	// RunOneOn is RunOne with per-worker state: ws is the value
-	// NewWorker built for the executing worker. The purity contract is
-	// unchanged — ws is an arena or cache, never accumulated statistics,
-	// so unit i's value is independent of which worker runs it and what
-	// that worker ran before. Exactly one of RunOne and RunOneOn must be
-	// set.
-	RunOneOn func(ws any, i int, stream sim.Stream) (T, error)
+	// RunOne executes unit i on m, the executing worker's train meter:
+	// units that measure probe trains pass it to TrainPlan.MeasureOne so
+	// one simulation engine is reused across the units a worker runs;
+	// other units ignore it. RunOne must be a pure function of i: any
+	// randomness comes from stream (or another index-derived source),
+	// never from shared mutable state, and the meter is an arena, never
+	// accumulated statistics — so unit i computes the same value
+	// whether units run serially or on any number of workers.
+	RunOne func(m *probe.TrainMeter, i int, stream sim.Stream) (T, error)
 	// Reduce merges the results, ordered by unit index independent of
 	// completion order, into the figure.
 	Reduce func(results []T) (*Figure, error)
@@ -50,15 +39,12 @@ type Scenario[T any] struct {
 
 // Run executes the scenario on a worker pool of sc.Workers goroutines
 // (GOMAXPROCS when zero), with units claimed in contiguous batches and
-// — when the scenario provides NewWorker/RunOneOn — per-worker state
-// reused across the units each worker executes. For a given seed the
-// returned figure is byte-identical at every worker count.
+// one train meter per worker reused across the units it executes. For
+// a given seed the returned figure is byte-identical at every worker
+// count.
 func Run[T any](s Scenario[T], sc Scale) (*Figure, error) {
 	if err := sc.validate(); err != nil {
 		return nil, err
-	}
-	if (s.RunOne == nil) == (s.RunOneOn == nil) {
-		return nil, fmt.Errorf("experiments: scenario must set exactly one of RunOne and RunOneOn")
 	}
 	if s.Build != nil {
 		if err := s.Build(); err != nil {
@@ -66,15 +52,10 @@ func Run[T any](s Scenario[T], sc Scale) (*Figure, error) {
 		}
 	}
 	root := sim.NewStream(s.Seed)
-	run := s.RunOneOn
-	if run == nil {
-		run = func(_ any, i int, stream sim.Stream) (T, error) {
-			return s.RunOne(i, stream)
-		}
-	}
-	results, err := runner.MapBatches(s.Units, sc.Workers, 0, s.NewWorker,
-		func(ws any, i int) (T, error) {
-			return run(ws, i, root.Child(uint64(i)))
+	results, err := runner.MapBatches(s.Units, sc.Workers, 0,
+		func() *probe.TrainMeter { return &probe.TrainMeter{} },
+		func(m *probe.TrainMeter, i int) (T, error) {
+			return s.RunOne(m, i, root.Child(uint64(i)))
 		})
 	if err != nil {
 		return nil, err

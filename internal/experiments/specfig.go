@@ -66,13 +66,8 @@ func ScenarioTransient(c *scenario.Compiled, sc Scale) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	show := 150
-	if show > p.TrainLen {
-		show = p.TrainLen
-	}
-	scen := p.trainScenario(sc.Reps)
-	scen.Reduce = meanDelayReduce(c.Name, "Mean access delay vs probe packet number — "+c.Name, show)
-	return Run(scen, sc)
+	return meanDelayFigure(c.Name, "Mean access delay vs probe packet number — "+c.Name, p.Seed,
+		[]string{"mean access delay (ms)"}, []probe.Link{p.link()}, p.TrainLen, p.ProbeRateBps, 150, sc)
 }
 
 // ScenarioRRC runs the Figure-1-style steady-state rate-response sweep
@@ -93,7 +88,7 @@ func ScenarioRRC(c *scenario.Compiled, sc Scale) (*Figure, error) {
 	return Run(Scenario[pt]{
 		Seed:  base.Seed,
 		Units: len(rates),
-		RunOne: func(i int, _ sim.Stream) (pt, error) {
+		RunOne: func(_ *probe.TrainMeter, i int, _ sim.Stream) (pt, error) {
 			l := cloneLink(&base)
 			l.Seed = base.Seed + int64(i)*101
 			ss, err := probe.MeasureSteadyState(l, rates[i], dur)

@@ -47,7 +47,7 @@ func Fig1SteadyStateRRC(p Fig1Params, sc Scale) (*Figure, error) {
 	return Run(Scenario[ssPoint]{
 		Seed:  p.Seed,
 		Units: len(rates),
-		RunOne: func(i int, _ sim.Stream) (ssPoint, error) {
+		RunOne: func(_ *probe.TrainMeter, i int, _ sim.Stream) (ssPoint, error) {
 			l := probe.Link{
 				ProbeSize:  p.PacketSize,
 				Contenders: []probe.Flow{{RateBps: p.CrossRateBps, Size: p.PacketSize}},
@@ -115,7 +115,7 @@ func Fig4CompleteRRC(p Fig4Params, sc Scale) (*Figure, error) {
 	return Run(Scenario[ssPoint]{
 		Seed:  p.Seed,
 		Units: len(rates),
-		RunOne: func(i int, _ sim.Stream) (ssPoint, error) {
+		RunOne: func(_ *probe.TrainMeter, i int, _ sim.Stream) (ssPoint, error) {
 			l := probe.Link{
 				ProbeSize:  p.PacketSize,
 				FIFOCross:  []probe.Flow{{RateBps: p.FIFOCrossBps, Size: p.PacketSize}},

@@ -89,7 +89,7 @@ func TrainRRC(id string, p TrainRRCParams, sc Scale) (*Figure, error) {
 	return Run(Scenario[pt]{
 		Seed:  p.Seed,
 		Units: nPoints * (1 + len(p.TrainLens)),
-		RunOne: func(u int, _ sim.Stream) (pt, error) {
+		RunOne: func(_ *probe.TrainMeter, u int, _ sim.Stream) (pt, error) {
 			curve, i := u/nPoints, u%nPoints
 			ri := rates[i]
 			if curve == 0 {
@@ -177,7 +177,7 @@ func Fig16PacketPair(p Fig16Params, sc Scale) (*Figure, error) {
 	return Run(Scenario[pt]{
 		Seed:  p.Seed,
 		Units: len(p.CrossRates),
-		RunOne: func(i int, _ sim.Stream) (pt, error) {
+		RunOne: func(_ *probe.TrainMeter, i int, _ sim.Stream) (pt, error) {
 			cr := p.CrossRates[i]
 			// Workers pinned to 1: the Scenario parallelizes across cross-traffic levels.
 			l := probe.Link{ProbeSize: p.PacketSize, Seed: p.Seed + int64(i)*61, Workers: 1}
@@ -276,7 +276,7 @@ func Fig17MSER(p Fig17Params, sc Scale) (*Figure, error) {
 	return Run(Scenario[pt]{
 		Seed:  p.Seed,
 		Units: len(rates),
-		RunOne: func(i int, _ sim.Stream) (pt, error) {
+		RunOne: func(_ *probe.TrainMeter, i int, _ sim.Stream) (pt, error) {
 			ri := rates[i]
 			l := probe.Link{
 				ProbeSize:  p.PacketSize,

@@ -79,23 +79,28 @@ func (p TransientParams) link() probe.Link {
 	}
 }
 
-// trainScenario is the shared skeleton of the transient drivers: the
-// train plan resolved once in Build, one engine-reusing meter per
-// worker, and a replication unit derived purely from (params, rep) —
-// the meter never changes a measured value. Callers fill in Reduce.
-func (p TransientParams) trainScenario(units int) Scenario[probe.TrainSample] {
-	var plan *probe.TrainPlan
+// trainScenario is the shared skeleton of the transient drivers: one
+// train plan per measured cell, resolved once in Build; one
+// engine-reusing meter per worker; and units laid out cell-major —
+// unit u is replication u%reps of cell u/reps, a pure function of
+// (cell, rep) the meter never changes. Callers fill in Reduce.
+func trainScenario(seed int64, links []probe.Link, n int, rateBps float64, reps int) Scenario[probe.TrainSample] {
+	plans := make([]*probe.TrainPlan, len(links))
 	return Scenario[probe.TrainSample]{
-		Seed:  p.Seed,
-		Units: units,
+		Seed:  seed,
+		Units: len(links) * reps,
 		Build: func() error {
-			var err error
-			plan, err = probe.PlanTrain(p.link(), p.TrainLen, p.ProbeRateBps)
-			return err
+			for c, l := range links {
+				plan, err := probe.PlanTrain(l, n, rateBps)
+				if err != nil {
+					return err
+				}
+				plans[c] = plan
+			}
+			return nil
 		},
-		NewWorker: func() any { return &probe.TrainMeter{} },
-		RunOneOn: func(ws any, rep int, _ sim.Stream) (probe.TrainSample, error) {
-			return plan.MeasureOne(ws.(*probe.TrainMeter), rep)
+		RunOne: func(m *probe.TrainMeter, u int, _ sim.Stream) (probe.TrainSample, error) {
+			return plans[u/reps].MeasureOne(m, u%reps)
 		},
 	}
 }
@@ -107,46 +112,43 @@ func rows(samples []probe.TrainSample) (delays, queues [][]float64) {
 	return ts.DelaysByIndex(), ts.QueueByIndex()
 }
 
-// meanDelayReduce builds the Figure-6-style reduce: the mean access
-// delay of each of the first show probe packets across replications.
-// Fig6MeanAccessDelay and the scenario-spec transient driver share it,
-// so a spec-described cell renders exactly like the hand-wired figure.
-func meanDelayReduce(id, title string, show int) func([]probe.TrainSample) (*Figure, error) {
-	return func(samples []probe.TrainSample) (*Figure, error) {
-		delays, _ := rows(samples)
-		means := stats.RunningMeans(delays)
-		n := show
-		if n > len(means) {
-			n = len(means)
+// meanDelayFigure is the one Figure-6 driver: the mean access delay of
+// each of the first show probe packets across sc.Reps replications,
+// one curve per measured cell (links[c], plotted as names[c]), every
+// cell probed with n-packet trains at rateBps. Fig6MeanAccessDelay,
+// the scenario-spec transient and the EDCA and frame-loss variants all
+// render through it, so their curves share one reduction.
+func meanDelayFigure(id, title string, seed int64, names []string, links []probe.Link, n int, rateBps float64, show int, sc Scale) (*Figure, error) {
+	scen := trainScenario(seed, links, n, rateBps, sc.Reps)
+	scen.Reduce = func(samples []probe.TrainSample) (*Figure, error) {
+		fig := &Figure{ID: id, Title: title, XLabel: "packet #", YLabel: "access delay (ms)"}
+		for c, name := range names {
+			delays, _ := rows(samples[c*sc.Reps : (c+1)*sc.Reps])
+			means := stats.RunningMeans(delays)
+			s := Series{Name: name}
+			for i := 0; i < show && i < len(means); i++ {
+				s.X = append(s.X, float64(i+1))
+				s.Y = append(s.Y, means[i]*1e3)
+			}
+			fig.Series = append(fig.Series, s)
 		}
-		s := Series{Name: "mean access delay (ms)"}
-		for i := 0; i < n; i++ {
-			s.X = append(s.X, float64(i+1))
-			s.Y = append(s.Y, means[i]*1e3)
-		}
-		return &Figure{
-			ID:     id,
-			Title:  title,
-			XLabel: "packet #",
-			YLabel: "access delay (ms)",
-			Series: []Series{s},
-		}, nil
+		return fig, nil
 	}
+	return Run(scen, sc)
 }
 
 // Fig6MeanAccessDelay reproduces Figure 6: the mean access delay of
 // each of the first `show` probe packets across replications, exposing
 // the transient acceleration of early packets.
 func Fig6MeanAccessDelay(p TransientParams, sc Scale, show int) (*Figure, error) {
-	scen := p.trainScenario(sc.Reps)
-	scen.Reduce = meanDelayReduce("fig06", "Mean access delay vs probe packet number", show)
-	return Run(scen, sc)
+	return meanDelayFigure("fig06", "Mean access delay vs probe packet number", p.Seed,
+		[]string{"mean access delay (ms)"}, []probe.Link{p.link()}, p.TrainLen, p.ProbeRateBps, show, sc)
 }
 
 // Fig7Histograms reproduces Figure 7: the access-delay histogram of the
 // first packet against that of a late (steady-state) packet.
 func Fig7Histograms(p TransientParams, sc Scale, latePacket, bins int) (*Figure, error) {
-	scen := p.trainScenario(sc.Reps)
+	scen := trainScenario(p.Seed, []probe.Link{p.link()}, p.TrainLen, p.ProbeRateBps, sc.Reps)
 	scen.Reduce = func(samples []probe.TrainSample) (*Figure, error) {
 		delays, _ := rows(samples)
 		first := stats.Column(delays, 0)
@@ -217,7 +219,7 @@ func DefaultKSOptions(trainLen int) KSOptions {
 // steady-state pool, the 95% threshold line, and (when queue samples
 // exist) the mean contender queue length per index.
 func FigKS(id string, p TransientParams, sc Scale, opt KSOptions) (*Figure, error) {
-	scen := p.trainScenario(sc.Reps)
+	scen := trainScenario(p.Seed, []probe.Link{p.link()}, p.TrainLen, p.ProbeRateBps, sc.Reps)
 	scen.Reduce = func(samples []probe.TrainSample) (*Figure, error) {
 		delays, queues := rows(samples)
 		tail := stats.Tail(delays, opt.TailFrom)
@@ -312,7 +314,7 @@ func Fig10TransientDuration(p Fig10Params, sc Scale) (*Figure, error) {
 	return Run(Scenario[[]int]{
 		Seed:  p.Seed,
 		Units: len(p.CrossLoads),
-		RunOne: func(li int, _ sim.Stream) ([]int, error) {
+		RunOne: func(_ *probe.TrainMeter, li int, _ sim.Stream) ([]int, error) {
 			crossRate := traffic.RateForLoad(phyP, p.CrossLoads[li], p.PacketSize)
 			link := probe.Link{
 				ProbeSize:  p.PacketSize,

@@ -187,8 +187,9 @@ type Config struct {
 	// fully idle station on an idle medium — to draw a backoff before
 	// transmitting. Real DCF grants immediate access after DIFS idle;
 	// this switch exists for the ablation study of the transient's
-	// mechanism (DESIGN.md §5): without the first-packet acceleration
-	// the access-delay transient shrinks markedly.
+	// mechanism (experiments.AblationImmediateAccess): without the
+	// first-packet acceleration the access-delay transient shrinks
+	// markedly.
 	DisableImmediateAccess bool
 
 	// OnDepart, if set, is invoked at the instant each frame finishes

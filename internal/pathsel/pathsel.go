@@ -252,11 +252,11 @@ func (r *Result) SwitchLag(from int) int {
 }
 
 // Meter is the per-worker measurement arena: it reuses one simulation
-// engine across every path probe a worker executes. The zero value is
+// engine across every path probe a worker executes. It is the probe
+// layer's TrainMeter under this package's name, so a figure driver's
+// per-worker meter serves path selection directly. The zero value is
 // ready; a nil meter runs each probe on a fresh engine.
-type Meter struct {
-	tm probe.TrainMeter
-}
+type Meter = probe.TrainMeter
 
 // rebased returns the path's schedule shifted onto an epoch's local
 // timeline: events at or before the epoch's start collapse to instant
@@ -323,10 +323,6 @@ func Run(cfg Config, rep int, m *Meter) (*Result, error) {
 	}
 	nP := len(cfg.Paths)
 	epochDur := sim.FromSeconds(cfg.EpochSeconds)
-	var tm *probe.TrainMeter
-	if m != nil {
-		tm = &m.tm
-	}
 
 	ema := make([]Meas, nP)
 	uses := make([]int, nP)
@@ -349,7 +345,7 @@ func Run(cfg Config, rep int, m *Meter) (*Result, error) {
 			if size == 0 {
 				size = 1500
 			}
-			s, err := plan.MeasureOne(tm, rep)
+			s, err := plan.MeasureOne(m, rep)
 			if err != nil {
 				return nil, fmt.Errorf("pathsel: path %d epoch %d: %w", p, k, err)
 			}

@@ -401,9 +401,16 @@ type TrainPlan struct {
 // rateBps over link l into a TrainPlan. The returned plan is immutable
 // and safe to share across worker goroutines.
 func PlanTrain(l Link, n int, rateBps float64) (*TrainPlan, error) {
-	l, gI, err := l.trainSetup(n, rateBps)
-	if err != nil {
+	if err := l.Validate(); err != nil {
 		return nil, err
+	}
+	l = l.WithDefaults()
+	if n < 1 {
+		return nil, fmt.Errorf("probe: train length %d", n)
+	}
+	var gI sim.Time
+	if rateBps > 0 {
+		gI = sim.FromSeconds(float64(l.ProbeSize*8) / rateBps)
 	}
 	return &TrainPlan{link: l, n: n, gI: gI}, nil
 }
@@ -412,14 +419,6 @@ func PlanTrain(l Link, n int, rateBps float64) (*TrainPlan, error) {
 // rate resolves to — so budget-aware callers can price a train before
 // sending it.
 func (p *TrainPlan) GI() sim.Time { return p.gI }
-
-// MeasureOne runs replication rep of the plan on meter m, reusing m's
-// engine across calls; a nil meter uses a fresh engine. The sample is a
-// pure function of (plan, rep) — the meter is an arena, never state
-// that leaks between replications.
-func (p *TrainPlan) MeasureOne(m *TrainMeter, rep int) (TrainSample, error) {
-	return p.link.measureTrainOnce(m, p.n, p.gI, int64(rep))
-}
 
 // MeasureTrain sends reps independent replications of an n-packet train
 // with input gap corresponding to rateBps and collects the dispersion
@@ -448,41 +447,11 @@ func MeasureTrain(l Link, n int, rateBps float64, reps int) (*TrainStats, error)
 	return &TrainStats{N: n, GI: plan.gI, L: plan.link.ProbeSize, Reps: reps, Samples: samples}, nil
 }
 
-// trainSetup is the shared preparation of a train measurement: defaults
-// resolved, train length validated, and the input gap derived from the
-// probing rate.
-func (l Link) trainSetup(n int, rateBps float64) (Link, sim.Time, error) {
-	if err := l.Validate(); err != nil {
-		return l, 0, err
-	}
-	l = l.WithDefaults()
-	if n < 1 {
-		return l, 0, fmt.Errorf("probe: train length %d", n)
-	}
-	var gI sim.Time
-	if rateBps > 0 {
-		gI = sim.FromSeconds(float64(l.ProbeSize*8) / rateBps)
-	}
-	return l, gI, nil
-}
-
-// MeasureTrainOne runs a single replication, rep, of the n-packet train
-// measurement. It is the unit of work experiment drivers hand to the
-// replication engine when they own the worker pool themselves: running
-// MeasureTrainOne for rep = 0..reps-1 (in any order, on any workers)
-// and collecting the samples by index is exactly MeasureTrain.
-func MeasureTrainOne(l Link, n int, rateBps float64, rep int) (TrainSample, error) {
-	l, gI, err := l.trainSetup(n, rateBps)
-	if err != nil {
-		return TrainSample{}, err
-	}
-	return l.measureTrainOnce(nil, n, gI, int64(rep))
-}
-
-// measureTrainOnce runs replication rep of the n-packet train on meter
-// m (nil for a fresh engine). It is a pure function of (l, n, gI, rep)
-// — the determinism unit the worker pool relies on; the meter only
-// changes where the engine's memory comes from.
+// MeasureOne runs replication rep of the plan on meter m, reusing m's
+// engine across calls; a nil meter uses a fresh engine. The sample is a
+// pure function of (plan, rep) — the determinism unit the worker pool
+// relies on; the meter is an arena, never state that leaks between
+// replications.
 //
 // The run stops the instant the train is fully resolved — every probe
 // packet delivered or dropped by the retry limit — instead of grinding
@@ -492,8 +461,9 @@ func MeasureTrainOne(l Link, n int, rateBps float64, rep int) (TrainSample, erro
 // Cross-traffic stations' frames are not retained at all (the sample
 // never reads them), and a run that hits the horizon with unresolved
 // probes is flagged Truncated.
-func (l Link) measureTrainOnce(m *TrainMeter, n int, gI sim.Time, rep int64) (TrainSample, error) {
-	cfg, end := l.scenario(n, gI, rep)
+func (p *TrainPlan) MeasureOne(m *TrainMeter, rep int) (TrainSample, error) {
+	l, n := &p.link, p.n
+	cfg, end := l.scenario(n, p.gI, int64(rep))
 	sample := TrainSample{
 		Departures:   make([]sim.Time, n),
 		AccessDelays: make([]float64, n),

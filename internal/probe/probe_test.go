@@ -444,7 +444,7 @@ func TestRateEstimateAllTruncated(t *testing.T) {
 // engine-reuse equivalence: a batch of replications measured through
 // one TrainMeter (one engine, Reset between trains — the batched
 // MeasureTrain path) must be byte-identical to the same replications
-// measured one fresh engine at a time via MeasureTrainOne.
+// measured one fresh engine at a time through a nil meter.
 func TestMeterReuseMatchesFreshEngines(t *testing.T) {
 	l := Link{
 		Seed:       44,
@@ -462,7 +462,7 @@ func TestMeterReuseMatchesFreshEngines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := MeasureTrainOne(l, n, rate, rep)
+		fresh, err := plan.MeasureOne(nil, rep)
 		if err != nil {
 			t.Fatal(err)
 		}

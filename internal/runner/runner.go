@@ -78,22 +78,19 @@ func DefaultChunk(n, w int) int {
 // schedules that hit the same errors). A nil error guarantees every
 // unit ran exactly once.
 func Map[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	return MapChunked(n, workers, 0, fn)
-}
-
-// MapChunked is Map with an explicit chunk size: workers claim
-// contiguous blocks of chunk unit indices at a time. A chunk size
-// below 1 selects DefaultChunk. Results and the error contract are
-// identical to Map at any chunk size; only the claim granularity — and
-// therefore the dispatch overhead — changes.
-func MapChunked[T any](n, workers, chunk int, fn func(i int) (T, error)) ([]T, error) {
-	return MapBatches(n, workers, chunk, nil, func(_ struct{}, i int) (T, error) {
+	return MapBatches(n, workers, 0, nil, func(_ struct{}, i int) (T, error) {
 		return fn(i)
 	})
 }
 
-// MapBatches is the full form of Map: chunked claiming plus per-worker
-// state. newWorker, when non-nil, runs once at the start of each worker
+// MapBatches is the full form of Map: an explicit chunk size plus
+// per-worker state. Workers claim contiguous blocks of chunk unit
+// indices at a time; a chunk size below 1 selects DefaultChunk.
+// Results and the error contract are identical to Map at any chunk
+// size; only the claim granularity — and therefore the dispatch
+// overhead — changes.
+//
+// newWorker, when non-nil, runs once at the start of each worker
 // goroutine (never concurrently with that worker's units) and its value
 // is passed to every fn call that worker executes — the hook for
 // resources that are expensive to build and safe to reuse serially,
@@ -159,12 +156,4 @@ func MapBatches[T, W any](n, workers, chunk int, newWorker func() W, fn func(w W
 		}
 	}
 	return out, nil
-}
-
-// ForEach is Map for work that produces no value.
-func ForEach(n, workers int, fn func(i int) error) error {
-	_, err := Map(n, workers, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
 }

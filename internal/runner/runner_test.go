@@ -90,22 +90,6 @@ func TestWorkers(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	var sum atomic.Int64
-	if err := ForEach(10, 4, func(i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 45 {
-		t.Errorf("sum = %d", sum.Load())
-	}
-	if err := ForEach(3, 2, func(i int) error { return errors.New("x") }); err == nil {
-		t.Error("error swallowed")
-	}
-}
-
 func TestDefaultChunk(t *testing.T) {
 	cases := []struct {
 		n, w, want int
@@ -126,8 +110,8 @@ func TestDefaultChunk(t *testing.T) {
 	}
 }
 
-// TestMapChunkedEdgeCases drives explicit chunk sizes through the
-// shapes that exercise the claim-loop boundaries: a chunk larger than
+// TestMapChunkedEdgeCases drives explicit MapBatches chunk sizes
+// through the shapes that exercise the claim-loop boundaries: a chunk larger than
 // n, a chunk of one (per-unit claiming, the pre-batching behaviour), n
 // not divisible by the chunk (short final chunk), and chunk == n.
 // Every shape must yield the identical ordered results with each unit
@@ -147,7 +131,7 @@ func TestMapChunkedEdgeCases(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var counts [64]atomic.Int32
-			got, err := MapChunked(tc.n, tc.workers, tc.chunk, func(i int) (int, error) {
+			got, err := MapBatches(tc.n, tc.workers, tc.chunk, nil, func(_ struct{}, i int) (int, error) {
 				counts[i].Add(1)
 				return i * i, nil
 			})
@@ -169,15 +153,15 @@ func TestMapChunkedEdgeCases(t *testing.T) {
 	}
 }
 
-// TestMapChunkedErrorStopsClaiming asserts the failure contract under
-// batching: after a unit fails, no new chunk is claimed, in-flight
+// TestMapChunkedErrorStopsClaiming asserts MapBatches' failure
+// contract under chunked claiming: after a unit fails, no new chunk is claimed, in-flight
 // chunks abandon their remainder, and the reported unit index is the
 // lowest among the units that actually ran. With one worker and chunks
 // of 4 the failing unit is deterministic, and units in chunks beyond
 // the failure must never run.
 func TestMapChunkedErrorStopsClaiming(t *testing.T) {
 	var ran [40]atomic.Int32
-	_, err := MapChunked(40, 1, 4, func(i int) (int, error) {
+	_, err := MapBatches(40, 1, 4, nil, func(_ struct{}, i int) (int, error) {
 		ran[i].Add(1)
 		if i >= 6 {
 			return 0, errors.New("fail")
@@ -225,9 +209,9 @@ func TestMapBatchesWorkerState(t *testing.T) {
 	}
 }
 
-// TestMapBatchesNilNewWorker: the zero value of W is handed to fn when
-// no constructor is given (the MapChunked path).
-func TestMapBatchesNilNewWorker(t *testing.T) {
+// TestMapBatchesNilWorkerConstructor: the zero value of W is handed
+// to fn when no constructor is given (the path Map takes).
+func TestMapBatchesNilWorkerConstructor(t *testing.T) {
 	got, err := MapBatches(8, 2, 0, nil, func(w int, i int) (int, error) {
 		return w + i, nil // w is always the zero int
 	})

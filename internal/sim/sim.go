@@ -1,16 +1,15 @@
-// Package sim provides a deterministic discrete-event simulation kernel:
-// a simulated clock measured in integer nanoseconds, a binary-heap event
-// queue with stable FIFO ordering for simultaneous events, and seedable
-// random-number streams.
+// Package sim provides the deterministic simulation primitives every
+// simulator in this repository shares: a simulated clock measured in
+// integer nanoseconds, and seedable random-number streams.
 //
-// All simulators in this repository (the IEEE 802.11 DCF engine in
-// internal/mac and the sample-path queueing simulator in internal/queuesim)
-// are built on this kernel so that every experiment is reproducible from a
-// seed and never consults the wall clock.
+// The IEEE 802.11 DCF engine in internal/mac and the sample-path
+// queueing simulator in internal/queuesim each order their own events;
+// they take their clock and their randomness from here, so every
+// experiment is reproducible from a seed and never consults the wall
+// clock.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -49,140 +48,3 @@ func FromMicros(us float64) Time { return Time(math.Round(us * float64(Microseco
 // String renders the time with microsecond resolution, which is the
 // natural scale of 802.11 MAC operations.
 func (t Time) String() string { return fmt.Sprintf("%.3fus", t.Micros()) }
-
-// Event is a scheduled callback. The callback runs when the simulation
-// clock reaches At.
-type Event struct {
-	At  Time
-	Fn  func()
-	seq uint64 // tie-breaker: events at equal times run in schedule order
-	idx int    // heap index; -1 once removed
-}
-
-// eventHeap implements container/heap ordering events by (At, seq).
-type eventHeap []*Event
-
-// Len implements heap.Interface.
-func (h eventHeap) Len() int { return len(h) }
-
-// Less implements heap.Interface: earlier events first, schedule
-// order breaking ties.
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
-	}
-	return h[i].seq < h[j].seq
-}
-
-// Swap implements heap.Interface, maintaining the events' indices.
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-
-// Push implements heap.Interface.
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.idx = len(*h)
-	*h = append(*h, ev)
-}
-
-// Pop implements heap.Interface.
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.idx = -1
-	*h = old[:n-1]
-	return ev
-}
-
-// Engine is a discrete-event simulation engine. The zero value is ready
-// to use and starts at time zero.
-type Engine struct {
-	now    Time
-	events eventHeap
-	seq    uint64
-	ran    uint64
-}
-
-// NewEngine returns an engine with its clock at zero.
-func NewEngine() *Engine { return &Engine{} }
-
-// Now reports the current simulated time.
-func (e *Engine) Now() Time { return e.now }
-
-// Pending reports the number of scheduled events not yet run or cancelled.
-func (e *Engine) Pending() int { return len(e.events) }
-
-// Processed reports how many events have been executed so far.
-func (e *Engine) Processed() uint64 { return e.ran }
-
-// Schedule runs fn when the clock reaches at. Scheduling in the past
-// panics: it always indicates a simulator bug, and silently reordering
-// time would corrupt every statistic derived from the run.
-func (e *Engine) Schedule(at Time, fn func()) *Event {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
-	}
-	ev := &Event{At: at, Fn: fn, seq: e.seq}
-	e.seq++
-	heap.Push(&e.events, ev)
-	return ev
-}
-
-// ScheduleAfter runs fn after delay d from the current time.
-func (e *Engine) ScheduleAfter(d Time, fn func()) *Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return e.Schedule(e.now+d, fn)
-}
-
-// Cancel removes a previously scheduled event. Cancelling an event that
-// already ran (or was already cancelled) is a no-op and reports false.
-func (e *Engine) Cancel(ev *Event) bool {
-	if ev == nil || ev.idx < 0 {
-		return false
-	}
-	heap.Remove(&e.events, ev.idx)
-	ev.idx = -1
-	return true
-}
-
-// Step executes the single earliest pending event, advancing the clock to
-// its timestamp. It reports false when no events remain.
-func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
-		return false
-	}
-	ev := heap.Pop(&e.events).(*Event)
-	e.now = ev.At
-	e.ran++
-	ev.Fn()
-	return true
-}
-
-// Run executes events until the queue drains or the clock would pass
-// until. Events timestamped exactly at until still run. It returns the
-// number of events executed.
-func (e *Engine) Run(until Time) uint64 {
-	start := e.ran
-	for len(e.events) > 0 && e.events[0].At <= until {
-		e.Step()
-	}
-	if e.now < until {
-		e.now = until
-	}
-	return e.ran - start
-}
-
-// RunAll executes events until none remain and returns the count executed.
-func (e *Engine) RunAll() uint64 {
-	start := e.ran
-	for e.Step() {
-	}
-	return e.ran - start
-}

@@ -42,164 +42,6 @@ func TestTimeString(t *testing.T) {
 	}
 }
 
-func TestEngineRunsInTimeOrder(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	e.Schedule(30, func() { order = append(order, 3) })
-	e.Schedule(10, func() { order = append(order, 1) })
-	e.Schedule(20, func() { order = append(order, 2) })
-	e.RunAll()
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("events ran out of order: %v", order)
-	}
-	if e.Now() != 30 {
-		t.Errorf("clock = %v, want 30", e.Now())
-	}
-}
-
-func TestEngineStableTieBreak(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		e.Schedule(5, func() { order = append(order, i) })
-	}
-	e.RunAll()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("simultaneous events not FIFO: %v", order)
-		}
-	}
-}
-
-func TestEngineScheduleDuringRun(t *testing.T) {
-	e := NewEngine()
-	var hits []Time
-	e.Schedule(10, func() {
-		hits = append(hits, e.Now())
-		e.ScheduleAfter(5, func() { hits = append(hits, e.Now()) })
-	})
-	e.RunAll()
-	if len(hits) != 2 || hits[0] != 10 || hits[1] != 15 {
-		t.Fatalf("nested scheduling broken: %v", hits)
-	}
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for _, at := range []Time{5, 10, 15, 20} {
-		e.Schedule(at, func() { count++ })
-	}
-	if n := e.Run(12); n != 2 {
-		t.Fatalf("Run(12) executed %d events, want 2", n)
-	}
-	if count != 2 {
-		t.Fatalf("count = %d, want 2", count)
-	}
-	// Clock advances to the horizon even when no event sits exactly there.
-	if e.Now() != 12 {
-		t.Fatalf("Now() = %v, want 12", e.Now())
-	}
-	// Boundary events (at exactly until) execute.
-	if n := e.Run(15); n != 1 {
-		t.Fatalf("Run(15) executed %d events, want 1", n)
-	}
-	e.RunAll()
-	if count != 4 || e.Now() != 20 {
-		t.Fatalf("final state count=%d now=%v", count, e.Now())
-	}
-}
-
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	ev := e.Schedule(10, func() { fired = true })
-	if !e.Cancel(ev) {
-		t.Fatal("first Cancel returned false")
-	}
-	if e.Cancel(ev) {
-		t.Fatal("second Cancel returned true")
-	}
-	e.RunAll()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if e.Cancel(nil) {
-		t.Fatal("Cancel(nil) returned true")
-	}
-}
-
-func TestEngineCancelRanEvent(t *testing.T) {
-	e := NewEngine()
-	ev := e.Schedule(1, func() {})
-	e.RunAll()
-	if e.Cancel(ev) {
-		t.Fatal("cancelling an executed event should report false")
-	}
-}
-
-func TestEngineSchedulePastPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic scheduling in the past")
-		}
-	}()
-	e := NewEngine()
-	e.Schedule(10, func() {})
-	e.Step()
-	e.Schedule(5, func() {})
-}
-
-func TestEngineNegativeDelayPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for negative delay")
-		}
-	}()
-	NewEngine().ScheduleAfter(-1, func() {})
-}
-
-func TestEngineProcessedAndPending(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(1, func() {})
-	e.Schedule(2, func() {})
-	if e.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", e.Pending())
-	}
-	e.Step()
-	if e.Pending() != 1 || e.Processed() != 1 {
-		t.Fatalf("after one step: pending=%d processed=%d", e.Pending(), e.Processed())
-	}
-}
-
-func TestEngineStepEmpty(t *testing.T) {
-	e := NewEngine()
-	if e.Step() {
-		t.Fatal("Step on empty queue returned true")
-	}
-}
-
-func TestEngineManyEventsOrdered(t *testing.T) {
-	e := NewEngine()
-	r := NewRand(7)
-	var last Time = -1
-	ok := true
-	for i := 0; i < 5000; i++ {
-		at := Time(r.Intn(100000))
-		e.Schedule(at, func() {
-			if e.Now() < last {
-				ok = false
-			}
-			last = e.Now()
-		})
-	}
-	e.RunAll()
-	if !ok {
-		t.Fatal("events observed non-monotonic clock")
-	}
-}
-
 func TestRandDeterminism(t *testing.T) {
 	a, b := NewRand(42), NewRand(42)
 	for i := 0; i < 1000; i++ {
@@ -326,28 +168,6 @@ func TestRandPerm(t *testing.T) {
 	}
 }
 
-// Property: for any list of non-negative delays, running the engine visits
-// them in sorted order.
-func TestEngineOrderProperty(t *testing.T) {
-	f := func(delays []uint16) bool {
-		e := NewEngine()
-		var visited []Time
-		for _, d := range delays {
-			e.Schedule(Time(d), func() { visited = append(visited, e.Now()) })
-		}
-		e.RunAll()
-		for i := 1; i < len(visited); i++ {
-			if visited[i] < visited[i-1] {
-				return false
-			}
-		}
-		return len(visited) == len(delays)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: Intn is always within range for arbitrary positive n.
 func TestRandIntnProperty(t *testing.T) {
 	r := NewRand(99)
@@ -358,16 +178,6 @@ func TestRandIntnProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkEngineScheduleRun(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		e := NewEngine()
-		for j := 0; j < 1000; j++ {
-			e.Schedule(Time(j), func() {})
-		}
-		e.RunAll()
 	}
 }
 

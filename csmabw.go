@@ -35,10 +35,10 @@
 // The cmd/ tools surface the drivers behind a common CLI harness
 // (internal/clikit) with shared knobs:
 //
-//   - cmd/figures regenerates the whole evaluation (or -only a subset);
-//   - cmd/trains, cmd/transient, cmd/transitory and cmd/mser run the
-//     short-train, access-delay-transient, transient-duration and
-//     MSER-correction studies individually;
+//   - cmd/figures regenerates the whole evaluation (or -only a subset),
+//     and with -scenario runs the train-based figures — the
+//     access-delay transient, its duration, the short-train rate
+//     response and the MSER correction — over a spec-described cell;
 //   - cmd/dcfsim is the general-purpose DCF/EDCA scenario front end,
 //     with -reps for replicated runs, -fer/-ber/-topology/-capture for
 //     the imperfect-channel scenario space, and -ac/-rates for

@@ -74,7 +74,7 @@ func TestToolDefaults(t *testing.T) {
 
 func TestExplicitScaleBeatsToolDefaults(t *testing.T) {
 	// An explicit -scale must not be clobbered back to the tool's
-	// defaults: `mser -scale paper` means paper-scale statistics.
+	// defaults: `rrc -scale paper` means paper-scale statistics.
 	def := Defaults{Seed: 17, Reps: 200, Points: 10, Seconds: 2}
 	f := parse(t, def, "-scale", "paper")
 	sc, err := f.Scale()

@@ -11,27 +11,40 @@ import (
 
 // TestWorkersDeterministic is the replication engine's core contract:
 // for every figure driver, the same seed yields byte-identical output
-// whether replications run on one worker or eight.
+// whether replications run on one worker or eight. Every spec form
+// runs too, bound to the paper-baseline cell.
 func TestWorkersDeterministic(t *testing.T) {
+	type input struct {
+		name string
+		run  Driver
+	}
+	var inputs []input
 	for _, entry := range Registry() {
-		entry := entry
-		t.Run(entry.ID, func(t *testing.T) {
+		inputs = append(inputs, input{entry.ID, entry.Run})
+		if entry.Spec != nil {
+			c := compileScenario(t, "paper-baseline")
+			inputs = append(inputs, input{entry.ID + "/spec", func(sc Scale) (*Figure, error) { return entry.Spec(c, sc) }})
+		}
+	}
+	for _, in := range inputs {
+		in := in
+		t.Run(in.name, func(t *testing.T) {
 			t.Parallel()
 			serial := Tiny()
 			serial.Workers = 1
 			parallel := Tiny()
 			parallel.Workers = 8
 
-			fig1, err := entry.Run(serial)
+			fig1, err := in.run(serial)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fig8, err := entry.Run(parallel)
+			fig8, err := in.run(parallel)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if fig1.CSV() != fig8.CSV() {
-				t.Errorf("%s: CSV differs between -workers=1 and -workers=8", entry.ID)
+				t.Errorf("%s: CSV differs between -workers=1 and -workers=8", in.name)
 			}
 			j1, err := fig1.JSON()
 			if err != nil {
@@ -42,10 +55,10 @@ func TestWorkersDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 			if j1 != j8 {
-				t.Errorf("%s: JSON differs between -workers=1 and -workers=8", entry.ID)
+				t.Errorf("%s: JSON differs between -workers=1 and -workers=8", in.name)
 			}
 			if fig1.Table() != fig8.Table() {
-				t.Errorf("%s: table differs between -workers=1 and -workers=8", entry.ID)
+				t.Errorf("%s: table differs between -workers=1 and -workers=8", in.name)
 			}
 		})
 	}

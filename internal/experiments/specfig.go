@@ -43,19 +43,9 @@ func TransientParamsFromCompiled(c *scenario.Compiled) (TransientParams, error) 
 	if c.Probing.Plan != scenario.PlanTrain {
 		return TransientParams{}, fmt.Errorf("experiments: scenario %q has probing plan %q, want %q", c.Name, c.Probing.Plan, scenario.PlanTrain)
 	}
-	l := c.Link
-	size := l.ProbeSize
-	if size == 0 {
-		size = 1500
-	}
-	return TransientParams{
-		ProbeRateBps: c.Probing.RateBps,
-		TrainLen:     c.Probing.TrainLen,
-		Contenders:   l.Contenders,
-		PacketSize:   size,
-		Seed:         l.Seed,
-		Base:         &l,
-	}, nil
+	p := TransientParams{ProbeRateBps: c.Probing.RateBps, Contenders: c.Link.Contenders}
+	p.Base, p.Seed, p.PacketSize, p.TrainLen = specCell(c, 1500, 0)
+	return p, nil
 }
 
 // ScenarioTransient runs the Figure-6-style mean access-delay

@@ -304,7 +304,8 @@ func DefaultFig10() Fig10Params {
 // Fig10TransientDuration estimates, for each offered cross load, the
 // first probe packet whose mean access delay lies (and stays) within
 // each tolerance of the steady-state mean. Each cross load is an
-// independent unit on the worker pool.
+// independent unit on the worker pool; its replications run serially
+// on the unit's train meter.
 func Fig10TransientDuration(p Fig10Params, sc Scale) (*Figure, error) {
 	phyP := probe.Link{ProbeSize: p.PacketSize, Seed: p.Seed}.WithDefaults().Phy
 	if p.Base != nil {
@@ -314,29 +315,33 @@ func Fig10TransientDuration(p Fig10Params, sc Scale) (*Figure, error) {
 	return Run(Scenario[[]int]{
 		Seed:  p.Seed,
 		Units: len(p.CrossLoads),
-		RunOne: func(_ *probe.TrainMeter, li int, _ sim.Stream) ([]int, error) {
+		RunOne: func(m *probe.TrainMeter, li int, _ sim.Stream) ([]int, error) {
 			crossRate := traffic.RateForLoad(phyP, p.CrossLoads[li], p.PacketSize)
 			link := probe.Link{
 				ProbeSize:  p.PacketSize,
 				Contenders: []probe.Flow{{RateBps: crossRate, Size: p.PacketSize}},
-				Seed:       p.Seed + int64(li)*977,
-				Workers:    1, // Scenario parallelizes across load points
 			}
 			if p.Base != nil {
 				link = cloneLink(p.Base)
-				link.Seed = p.Seed + int64(li)*977
-				link.Workers = 1
 				if len(link.Contenders) > 0 {
 					link.Contenders[0].RateBps = crossRate
 				} else {
 					link.Contenders = []probe.Flow{{RateBps: crossRate, Size: p.PacketSize}}
 				}
 			}
-			ts, err := probe.MeasureTrain(link, p.TrainLen, probeRate, sc.Reps)
+			link.Seed = p.Seed + int64(li)*977
+			plan, err := probe.PlanTrain(link, p.TrainLen, probeRate)
 			if err != nil {
 				return nil, err
 			}
-			means := stats.RunningMeans(ts.DelaysByIndex())
+			samples := make([]probe.TrainSample, sc.Reps)
+			for rep := range samples {
+				if samples[rep], err = plan.MeasureOne(m, rep); err != nil {
+					return nil, err
+				}
+			}
+			delays, _ := rows(samples)
+			means := stats.RunningMeans(delays)
 			// Steady state: mean over the last quarter of indices.
 			tailFrom := len(means) * 3 / 4
 			steady := stats.Mean(means[tailFrom:])

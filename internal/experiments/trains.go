@@ -22,7 +22,7 @@ type TrainRRCParams struct {
 	// Base, when non-nil, is the complete measured cell — channel,
 	// topology, EDCA and all — typically compiled from a scenario spec.
 	// It replaces the cell the scalar fields above would assemble; the
-	// per-unit seed and Workers pin are still applied on top.
+	// per-unit seed is still applied on top.
 	Base *probe.Link
 }
 
@@ -47,21 +47,16 @@ func DefaultFig15() TrainRRCParams {
 	return p
 }
 
-// link builds the measured link for one unit. Workers is pinned to 1:
-// the Scenario already parallelizes across (curve, point) units, so the
-// inner replication loop staying serial keeps total concurrency at the
-// configured worker count instead of its square.
+// link builds the measured link for one unit.
 func (p TrainRRCParams) link(seed int64) probe.Link {
 	if p.Base != nil {
 		l := cloneLink(p.Base)
 		l.Seed = seed
-		l.Workers = 1
 		return l
 	}
 	l := probe.Link{
 		ProbeSize: p.PacketSize,
 		Seed:      seed,
-		Workers:   1,
 	}
 	if p.ContendingBps > 0 {
 		l.Contenders = []probe.Flow{{RateBps: p.ContendingBps, Size: p.PacketSize}}
@@ -70,6 +65,25 @@ func (p TrainRRCParams) link(seed int64) probe.Link {
 		l.FIFOCross = []probe.Flow{{RateBps: p.FIFOCrossBps, Size: p.PacketSize}}
 	}
 	return l
+}
+
+// measureTrainOn runs reps replications of an n-packet train at rateBps
+// over l on the unit's meter, one after another — the Scenario already
+// parallelizes across units — and gathers them exactly as
+// probe.MeasureTrain would.
+func measureTrainOn(m *probe.TrainMeter, l probe.Link, n int, rateBps float64, reps int) (*probe.TrainStats, error) {
+	plan, err := probe.PlanTrain(l, n, rateBps)
+	if err != nil {
+		return nil, err
+	}
+	ts := &probe.TrainStats{N: n, GI: plan.GI(), L: l.WithDefaults().ProbeSize, Reps: reps,
+		Samples: make([]probe.TrainSample, reps)}
+	for rep := range ts.Samples {
+		if ts.Samples[rep], err = plan.MeasureOne(m, rep); err != nil {
+			return nil, err
+		}
+	}
+	return ts, nil
 }
 
 // TrainRRC produces the dispersion-inferred rate response L/E[gO] for
@@ -89,7 +103,7 @@ func TrainRRC(id string, p TrainRRCParams, sc Scale) (*Figure, error) {
 	return Run(Scenario[pt]{
 		Seed:  p.Seed,
 		Units: nPoints * (1 + len(p.TrainLens)),
-		RunOne: func(_ *probe.TrainMeter, u int, _ sim.Stream) (pt, error) {
+		RunOne: func(m *probe.TrainMeter, u int, _ sim.Stream) (pt, error) {
 			curve, i := u/nPoints, u%nPoints
 			ri := rates[i]
 			if curve == 0 {
@@ -100,7 +114,7 @@ func TrainRRC(id string, p TrainRRCParams, sc Scale) (*Figure, error) {
 				return pt{ok: true, x: ri / 1e6, y: ss.ProbeRate / 1e6}, nil
 			}
 			n := p.TrainLens[curve-1]
-			ts, err := probe.MeasureTrain(p.link(p.Seed+int64(n*1000+i)), n, ri, sc.Reps)
+			ts, err := measureTrainOn(m, p.link(p.Seed+int64(n*1000+i)), n, ri, sc.Reps)
 			if err != nil {
 				return pt{}, err
 			}
@@ -245,7 +259,7 @@ type Fig17Params struct {
 	Seed          int64
 	// Base, when non-nil, is the complete measured cell — typically
 	// spec-compiled — replacing the one the scalar fields would build;
-	// the per-point seed and Workers pin are still applied on top.
+	// the per-point seed is still applied on top.
 	Base *probe.Link
 }
 
@@ -276,24 +290,22 @@ func Fig17MSER(p Fig17Params, sc Scale) (*Figure, error) {
 	return Run(Scenario[pt]{
 		Seed:  p.Seed,
 		Units: len(rates),
-		RunOne: func(_ *probe.TrainMeter, i int, _ sim.Stream) (pt, error) {
+		RunOne: func(m *probe.TrainMeter, i int, _ sim.Stream) (pt, error) {
 			ri := rates[i]
 			l := probe.Link{
 				ProbeSize:  p.PacketSize,
 				Contenders: []probe.Flow{{RateBps: p.ContendingBps, Size: p.PacketSize}},
 				Seed:       p.Seed + int64(i)*41,
-				Workers:    1, // Scenario parallelizes across rate points
 			}
 			if p.Base != nil {
 				l = cloneLink(p.Base)
 				l.Seed = p.Seed + int64(i)*41
-				l.Workers = 1
 			}
 			ss, err := probe.MeasureSteadyState(l, ri, dur)
 			if err != nil {
 				return pt{}, err
 			}
-			ts, err := probe.MeasureTrain(l, p.TrainLen, ri, sc.Reps)
+			ts, err := measureTrainOn(m, l, p.TrainLen, ri, sc.Reps)
 			if err != nil {
 				return pt{}, err
 			}

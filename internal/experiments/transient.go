@@ -330,17 +330,11 @@ func Fig10TransientDuration(p Fig10Params, sc Scale) (*Figure, error) {
 				}
 			}
 			link.Seed = p.Seed + int64(li)*977
-			plan, err := probe.PlanTrain(link, p.TrainLen, probeRate)
+			ts, err := measureTrainOn(m, link, p.TrainLen, probeRate, sc.Reps)
 			if err != nil {
 				return nil, err
 			}
-			samples := make([]probe.TrainSample, sc.Reps)
-			for rep := range samples {
-				if samples[rep], err = plan.MeasureOne(m, rep); err != nil {
-					return nil, err
-				}
-			}
-			delays, _ := rows(samples)
+			delays, _ := rows(ts.Samples)
 			means := stats.RunningMeans(delays)
 			// Steady state: mean over the last quarter of indices.
 			tailFrom := len(means) * 3 / 4

@@ -1,19 +1,20 @@
 package mac
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"csmabw/internal/sim"
 )
 
-// This file holds the multi-domain busy-cluster engine: the engine used
-// when Config.Channel.Topology hides some stations from each other. The
-// single-domain fast path in mac.go resolves one transmission (or one
-// same-slot collision) per busy period; here a busy period is a
-// *cluster* of possibly overlapping transmissions, because a station
-// that hears none of the ongoing transmitters keeps counting down and
-// can start mid-air — the hidden-terminal effect.
+// This file holds the busy-period resolver: every busy period, on any
+// topology, is a *cluster* of possibly overlapping transmissions. The
+// cluster is seeded by the countdowns expiring at the busy period's
+// start; a station that hears none of the ongoing transmitters keeps
+// counting down and can start mid-air — the hidden-terminal effect. On
+// a full mesh every station hears the seed, so the cluster cannot grow
+// and resolves to one exchange or one same-slot collision.
 //
 // The cluster is resolved at the common receiver, which hears every
 // station. Per the package-comment simplifications, control frames are
@@ -42,193 +43,149 @@ type clusterEntry struct {
 	corrupted bool // no (effective) overlap, but failed the channel error trial
 }
 
-// newClusterEntry computes the exchange timeline of a transmission
-// starting at start.
-func (e *Engine) newClusterEntry(s *station, start sim.Time) *clusterEntry {
-	p := e.phy
+// failed reports whether the entry's exchange did not complete: a
+// collision the receiver could not capture, or a channel error.
+func (en *clusterEntry) failed() bool { return en.disrupted && !en.captured || en.corrupted }
+
+// clusterCand is a station whose countdown was still running when the
+// busy period started: it either joins the cluster or freezes.
+type clusterCand struct {
+	s      *station
+	expiry sim.Time
+	// frozenAt is the instant the countdown froze (notFrozen while it
+	// keeps running); heardTx records that a transmitter, not just the
+	// receiver, froze it.
+	frozenAt sim.Time
+	heardTx  bool
+}
+
+const notFrozen = sim.Time(-1)
+
+// addEntry appends to the engine's entry scratch the exchange timeline
+// of s's head-of-line frame starting at start, built in place, and
+// marks s as a cluster member.
+func (e *Engine) addEntry(s *station, start sim.Time) {
 	f := s.hol()
-	en := &clusterEntry{s: s, f: f, start: start, rts: e.usesRTS(f)}
+	en := &e.entries[e.nEntries]
+	e.nEntries++
+	s.inTx = true
+	// Field by field: assigning a composite literal to *en costs a
+	// bulk write barrier over the whole struct on every busy period.
+	en.s, en.f, en.start, en.rts = s, f, start, e.usesRTS(f)
+	en.disrupted, en.captured, en.corrupted = false, false, false
 	if en.rts {
-		rtsEnd := start + p.RTSTxTime()
-		ctsEnd := rtsEnd + p.SIFS + p.CTSTxTime()
+		rtsEnd := start + e.rtsT
+		ctsEnd := rtsEnd + e.phy.SIFS + e.ctsT
 		en.airEnd = rtsEnd
 		en.vulnEnd = ctsEnd
-		en.dataEnd = ctsEnd + p.SIFS + e.dataTxTime(s, f.Size)
+		en.dataEnd = ctsEnd + e.phy.SIFS + e.dataTxTime(s, f.Size)
 	} else {
 		en.airEnd = start + e.dataTxTime(s, f.Size)
 		en.dataEnd = en.airEnd
 		en.vulnEnd = en.airEnd
 	}
-	en.exchEnd = en.dataEnd + p.SIFS + p.ACKTxTime()
-	return en
+	en.exchEnd = en.dataEnd + e.phy.SIFS + e.ackT
 }
 
-// transmitCluster is the multi-domain counterpart of transmitAt: it
-// forms the busy cluster seeded by the countdowns expiring at txAt,
-// grows it with hidden stations whose countdowns keep running, resolves
-// every transmission at the common receiver, and advances the clock to
-// the cluster's end. All iteration is in (time, station id) order and
-// all randomness comes from the engine's own generators, so runs are
-// deterministic for a given config and seed.
-func (e *Engine) transmitCluster(txAt sim.Time) {
-	p := e.phy
+// endCountdown retires a post-backoff countdown that expired with an
+// empty queue: the station returns to the fully idle state.
+func (e *Engine) endCountdown(s *station) {
+	s.backoff = -1
+	s.postBO = false
+	e.nActive--
+}
 
-	// Effective countdown expiries, clamped to now exactly as contend()
-	// computed them when it chose txAt.
-	type cand struct {
-		s      *station
-		expiry sim.Time
-	}
-	var winners []*station
-	var cands []cand
+// transmitCluster resolves the busy period starting at txAt: it forms
+// the cluster seeded by the countdowns expiring at txAt, grows it with
+// hidden stations whose countdowns keep running, resolves every
+// transmission at the common receiver, and advances the clock to the
+// cluster's end. All iteration is in (time, station id) order and all
+// randomness comes from the engine's own generators, so runs are
+// deterministic for a given config and seed. It allocates nothing: the
+// entries and candidates live in engine-owned scratch sized at init.
+func (e *Engine) transmitCluster(txAt sim.Time) {
+	slot := e.phy.Slot
+	e.nEntries = 0
+	nCands := 0
 	for _, s := range e.stations {
 		if s.backoff < 0 {
 			continue
 		}
-		t := e.senseStart(s) + sim.Time(s.backoff)*p.Slot
-		if t < e.now {
-			t = e.now
-		}
+		start := e.senseStart(s)
+		t := start + sim.Time(s.backoff)*slot
 		if t <= txAt {
-			winners = append(winners, s)
+			if s.hol() == nil {
+				e.endCountdown(s)
+				continue
+			}
+			e.addEntry(s, txAt)
 			continue
 		}
-		cands = append(cands, cand{s, t})
+		if !e.multi {
+			// Every station hears the seed transmissions, which start
+			// before this countdown expires: it freezes at txAt.
+			decrementTo(s, start, txAt, slot)
+			continue
+		}
+		e.cands[nCands] = clusterCand{s: s, expiry: t, frozenAt: notFrozen}
+		nCands++
 	}
 	e.now = txAt
-
-	// Post-backoff countdowns that expire with an empty queue simply
-	// end; the station returns to the fully idle state.
-	var entries []*clusterEntry
-	for _, s := range winners {
-		if s.hol() == nil {
-			s.backoff = -1
-			s.postBO = false
-			e.nActive--
-			continue
-		}
-		entries = append(entries, e.newClusterEntry(s, txAt))
-	}
-	if len(entries) == 0 {
+	cands := e.cands[:nCands]
+	if e.nEntries == 0 {
 		// No transmission happened; the others counted down to txAt.
-		for _, c := range cands {
-			decrementTo(c.s, e.senseStart(c.s), txAt, p.Slot)
+		for i := range cands {
+			c := &cands[i]
+			decrementTo(c.s, e.senseStart(c.s), txAt, slot)
 		}
 		return
 	}
-
-	// Grow the cluster. Candidates are processed in expiry order: a
-	// candidate that hears a transmission already on the air froze at
-	// that transmission's start; one that hears nothing keeps counting,
-	// and transmits if it expires while the receiver is still
-	// vulnerable. Candidates expiring after the vulnerable window have
-	// heard the receiver's CTS/ACK by then and freeze.
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].expiry != cands[j].expiry {
-			return cands[i].expiry < cands[j].expiry
-		}
-		return cands[i].s.id < cands[j].s.id
-	})
-	vulnEnd := txAt
-	for _, en := range entries {
-		if en.vulnEnd > vulnEnd {
-			vulnEnd = en.vulnEnd
-		}
-	}
-	const notFrozen = sim.Time(-1)
-	frozen, heardTx := e.frozenScratch, e.heardScratch
-	for i := range frozen {
-		frozen[i] = notFrozen
-		heardTx[i] = false
-	}
-	for _, c := range cands {
-		heard := sim.MaxTime
-		for _, en := range entries {
-			// A transmission starting in the same slot as c's expiry
-			// cannot be sensed in time: both stations transmit.
-			if en.start < c.expiry && en.start < heard && e.hears(c.s.id, en.s.id) {
-				heard = en.start
-			}
-		}
-		switch {
-		case heard != sim.MaxTime:
-			frozen[c.s.id] = heard
-			heardTx[c.s.id] = true
-		case c.expiry < vulnEnd:
-			if c.s.hol() == nil {
-				c.s.backoff = -1
-				c.s.postBO = false
-				e.nActive--
-				continue
-			}
-			en := e.newClusterEntry(c.s, c.expiry)
-			entries = append(entries, en)
-			if en.vulnEnd > vulnEnd {
-				vulnEnd = en.vulnEnd
-			}
-		default:
-			// Expired past the vulnerable window: by then the station
-			// has heard the receiver's CTS/ACK — if the receiver sent
-			// one at all; otherwise its countdown continues untouched
-			// (resolved below once the outcomes are known).
-			frozen[c.s.id] = vulnEnd
-		}
-	}
+	e.growCluster(cands)
+	entries := e.entries[:e.nEntries]
 
 	// Resolve at the common receiver: an entry is disrupted when any
 	// other entry's airtime overlaps its vulnerable window. Capture can
 	// rescue a disrupted entry whose power margin over every overlapping
 	// transmission meets the threshold.
-	for i, en := range entries {
-		strongest := math.Inf(-1)
-		for j, other := range entries {
-			if i == j {
-				continue
-			}
-			if other.start < en.vulnEnd && other.airEnd > en.start {
-				en.disrupted = true
-				if other.s.power > strongest {
-					strongest = other.s.power
+	if len(entries) > 1 {
+		for i := range entries {
+			en := &entries[i]
+			strongest := math.Inf(-1)
+			for j := range entries {
+				other := &entries[j]
+				if i != j && other.start < en.vulnEnd && other.airEnd > en.start {
+					en.disrupted = true
+					strongest = max(strongest, other.s.power)
 				}
 			}
-		}
-		if en.disrupted && e.captureOn && en.s.power-strongest >= e.cfg.Channel.CaptureThresholdDB {
-			en.captured = true
-		}
-	}
-
-	// Channel error trials for the frames the receiver decodes, in
-	// entry order.
-	for _, en := range entries {
-		if en.disrupted && !en.captured {
-			continue
-		}
-		if e.lossy && e.chrng.Float64() < en.s.loss.FrameErrorProb(en.f.Size) {
-			en.corrupted = true
+			if en.disrupted && e.captureOn && en.s.power-strongest >= e.cfg.Channel.CaptureThresholdDB {
+				en.captured = true
+			}
 		}
 	}
 
-	// The cluster ends when its last exchange (or doomed airtime) ends.
-	// receiverSpoke records whether the common receiver transmitted at
-	// all (a CTS for a clean RTS handshake, or an ACK for a delivered
-	// frame): only then do stations hidden from every transmitter learn
-	// the medium was busy.
+	// Channel error trials for the frames the receiver decodes, in entry
+	// order. The cluster ends when its last exchange (or doomed airtime)
+	// ends. receiverSpoke records whether the common receiver
+	// transmitted at all (a CTS for a clean RTS handshake, or an ACK for
+	// a delivered frame): only then do stations hidden from every
+	// transmitter learn the medium was busy.
 	end := txAt
 	receiverSpoke := false
-	for _, en := range entries {
+	for i := range entries {
+		en := &entries[i]
 		t := en.exchEnd
 		switch {
 		case en.disrupted && !en.captured:
 			t = en.airEnd
-		case en.corrupted:
+		case e.lossy && e.chrng.Float64() < en.s.loss.FrameErrorProb(en.f.Size):
+			en.corrupted = true
 			t = en.dataEnd
 			receiverSpoke = receiverSpoke || en.rts
 		default:
 			receiverSpoke = true
 		}
-		if t > end {
-			end = t
-		}
+		end = max(end, t)
 	}
 	e.now = end
 
@@ -239,67 +196,124 @@ func (e *Engine) transmitCluster(txAt sim.Time) {
 	// and its countdown — an absolute expiry — continues untouched, so
 	// it may start the next busy period immediately. That re-collision
 	// pressure is the hidden-terminal pathology RTS/CTS exists to fix.
-	for _, c := range cands {
-		fa := frozen[c.s.id]
-		if fa == notFrozen {
-			continue
+	for i := range cands {
+		c := &cands[i]
+		if c.frozenAt != notFrozen && (c.heardTx || receiverSpoke) {
+			decrementTo(c.s, e.senseStart(c.s), c.frozenAt, slot)
 		}
-		if !heardTx[c.s.id] && !receiverSpoke {
-			frozen[c.s.id] = notFrozen
-			continue
-		}
-		decrementTo(c.s, e.senseStart(c.s), fa, p.Slot)
 	}
 
-	// Per-entry outcomes, in airtime order (initial entries in station
+	// Per-entry outcomes, in airtime order (seed entries in station
 	// order, then joiners in expiry order).
-	for _, en := range entries {
+	for i := range entries {
+		en := &entries[i]
 		s, f := en.s, en.f
-		if en.disrupted && !en.captured || en.corrupted {
-			st := &e.res.Stats[s.id]
-			st.Attempts++
+		if !en.failed() {
+			e.deliver(s, f, en.start, en.dataEnd, en.exchEnd, en.captured)
+			continue
+		}
+		st := &e.res.Stats[s.id]
+		st.Attempts++
+		if e.cfg.OnEvent != nil {
+			e.cfg.OnEvent(Event{At: en.start, Kind: EvTxStart, Station: s.id,
+				Size: f.Size, Probe: f.Probe, Index: f.Index, Retries: s.retries, AC: s.ac})
+		}
+		if en.corrupted {
+			st.ChannelErrors++
 			if e.cfg.OnEvent != nil {
-				e.cfg.OnEvent(Event{At: en.start, Kind: EvTxStart, Station: s.id,
+				e.cfg.OnEvent(Event{At: en.dataEnd, Kind: EvPhyError, Station: s.id,
 					Size: f.Size, Probe: f.Probe, Index: f.Index, Retries: s.retries, AC: s.ac})
 			}
-			if en.corrupted {
-				st.ChannelErrors++
-				if e.cfg.OnEvent != nil {
-					e.cfg.OnEvent(Event{At: en.dataEnd, Kind: EvPhyError, Station: s.id,
-						Size: f.Size, Probe: f.Probe, Index: f.Index, Retries: s.retries, AC: s.ac})
-				}
-			} else {
-				st.Collisions++
-				if e.cfg.OnEvent != nil {
-					e.cfg.OnEvent(Event{At: en.start, Kind: EvCollision, Station: s.id,
-						Size: f.Size, Probe: f.Probe, Index: f.Index, Retries: s.retries, AC: s.ac})
-				}
+		} else {
+			st.Collisions++
+			if e.cfg.OnEvent != nil {
+				e.cfg.OnEvent(Event{At: en.start, Kind: EvCollision, Station: s.id,
+					Size: f.Size, Probe: f.Probe, Index: f.Index, Retries: s.retries, AC: s.ac})
 			}
-			e.retryFail(s, end)
-			continue
 		}
-		e.deliver(s, f, en.start, en.dataEnd, en.exchEnd, en.captured)
+		e.retryFail(s, end)
 	}
 
-	// Bystander bookkeeping: what a station defers with next depends on
-	// what it could hear. A heard collision forces EIFS; a heard
-	// corrupted frame triggers the bystander's own decode trial (its
-	// copy crossed an independent channel); a heard clean exchange
-	// clears any pending EIFS; hearing nothing leaves it untouched.
-	inCluster := e.clusterScratch
-	for i := range inCluster {
-		inCluster[i] = false
+	e.settleBystanders(entries, end, receiverSpoke)
+
+	// A lone clean exchange keeps its station's transmit opportunity.
+	// The burst runs before Run admits the arrivals that landed during
+	// the busy period, so frames arriving mid-burst do not join it.
+	if en := &entries[0]; len(entries) == 1 && !en.failed() && en.s.txop > 0 {
+		e.txopBurst(en.s, txAt)
 	}
-	for _, en := range entries {
-		inCluster[en.s.id] = true
+}
+
+// growCluster grows the seed entries with the candidates that hear none
+// of them. Candidates are processed in expiry order: a candidate that
+// hears a transmission already on the air froze at that transmission's
+// start; one that hears nothing keeps counting, and transmits if it
+// expires while the receiver is still vulnerable. Candidates expiring
+// after the vulnerable window have heard the receiver's CTS/ACK by then
+// and freeze. On a full mesh the first pass already froze every
+// candidate, so there is nothing to grow.
+func (e *Engine) growCluster(cands []clusterCand) {
+	if len(cands) == 0 {
+		return
 	}
+	slices.SortFunc(cands, func(a, b clusterCand) int {
+		if c := cmp.Compare(a.expiry, b.expiry); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.s.id, b.s.id)
+	})
+	vulnEnd := sim.Time(0)
+	for i := range e.entries[:e.nEntries] {
+		vulnEnd = max(vulnEnd, e.entries[i].vulnEnd)
+	}
+	for i := range cands {
+		c := &cands[i]
+		heard := sim.MaxTime
+		for j := range e.entries[:e.nEntries] {
+			en := &e.entries[j]
+			// A transmission starting in the same slot as c's expiry
+			// cannot be sensed in time: both stations transmit.
+			if en.start < c.expiry && en.start < heard && e.hears(c.s.id, en.s.id) {
+				heard = en.start
+			}
+		}
+		switch {
+		case heard != sim.MaxTime:
+			c.frozenAt, c.heardTx = heard, true
+		case c.expiry < vulnEnd:
+			if c.s.hol() == nil {
+				e.endCountdown(c.s)
+				continue
+			}
+			e.addEntry(c.s, c.expiry)
+			vulnEnd = max(vulnEnd, e.entries[e.nEntries-1].vulnEnd)
+		default:
+			// Expired past the vulnerable window: by then the station
+			// has heard the receiver's CTS/ACK — if the receiver sent
+			// one at all; otherwise its countdown continues untouched
+			// (resolved once the outcomes are known).
+			c.frozenAt = vulnEnd
+		}
+	}
+}
+
+// settleBystanders applies what every station defers with next. Cluster
+// members resume after the cluster's end (their own outcome set their
+// EIFS state). For the others it depends on what they could hear: a
+// heard collision forces EIFS; a heard corrupted frame triggers the
+// bystander's own decode trial (its copy crossed an independent
+// channel); a heard clean exchange clears any pending EIFS; hearing
+// nothing leaves the station untouched.
+func (e *Engine) settleBystanders(entries []clusterEntry, end sim.Time, receiverSpoke bool) {
 	for _, o := range e.stations {
-		if inCluster[o.id] {
+		if o.inTx {
+			o.inTx = false
 			o.idleAt = end
 			continue
 		}
 		heardCollision, heardCorrupt, heardClean := false, false, false
-		for _, en := range entries {
+		for i := range entries {
+			en := &entries[i]
 			if !e.hears(o.id, en.s.id) {
 				continue
 			}
@@ -324,7 +338,8 @@ func (e *Engine) transmitCluster(txAt sim.Time) {
 			o.eifs = true
 		case heardCorrupt:
 			bad := false
-			for _, en := range entries {
+			for i := range entries {
+				en := &entries[i]
 				if en.corrupted && e.hears(o.id, en.s.id) &&
 					e.chrng.Float64() < en.s.loss.FrameErrorProb(en.f.Size) {
 					bad = true
@@ -337,8 +352,6 @@ func (e *Engine) transmitCluster(txAt sim.Time) {
 			o.eifs = false
 		}
 	}
-
-	e.pumpArrivals(end)
 }
 
 // decrementTo decrements s's frozen countdown by the whole slots that

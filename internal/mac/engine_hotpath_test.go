@@ -193,6 +193,22 @@ func TestHotPathAllocBound(t *testing.T) {
 			cfg.Stations = hotScenario(seed, true).Stations
 			return cfg
 		}},
+		// The busy-cluster machinery — candidate growth, overlap
+		// resolution, bystander hearing — runs from engine-owned scratch
+		// too: a hidden pair and a mid-run edge cut stay inside the budget.
+		{"hidden", func(seed int64) Config {
+			cfg := hotScenario(seed, true)
+			cfg.Channel.Topology = HiddenPair()
+			return cfg
+		}},
+		{"edge-events", func(seed int64) Config {
+			cfg := hotScenario(seed, true)
+			cfg.Schedule = []ScheduledEvent{
+				{At: sim.Second, SetTopologyEdge: &TopologyEdge{A: 0, B: 1, Hears: false}},
+				{At: 2 * sim.Second, SetTopologyEdge: &TopologyEdge{A: 0, B: 1, Hears: true}},
+			}
+			return cfg
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

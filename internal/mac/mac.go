@@ -54,15 +54,14 @@
 // Model simplifications (documented, deliberate): control frames (RTS,
 // CTS, ACK) are never corrupted by the error model — they are short and
 // sent at the robust basic rate; ACKs from the common receiver always
-// reach their transmitter; and in multi-domain topologies the engine
-// resolves one busy cluster of overlapping transmissions at a time, so
-// a station in a disjoint domain resumes contention no earlier than the
-// cluster's end.
+// reach their transmitter; and the engine resolves one busy cluster of
+// overlapping transmissions at a time — on a full mesh one exchange or
+// one same-slot collision — so with hidden terminals a station in a
+// disjoint domain resumes contention no earlier than the cluster's end.
 package mac
 
 import (
 	"fmt"
-	"math"
 
 	"csmabw/internal/phy"
 	"csmabw/internal/sim"
@@ -363,7 +362,7 @@ type station struct {
 	txop  sim.Time // TXOP limit; 0 = one frame per contention win
 	rate  float64  // data-frame modulation rate, bit/s
 
-	inTx bool // scratch flag for collision bookkeeping
+	inTx bool // member of the busy cluster being resolved
 }
 
 func (s *station) queueLen() int { return len(s.queue) - s.head }
@@ -446,14 +445,16 @@ type Engine struct {
 	arena   frameArena
 	record  []bool
 
-	winnersScratch []*station
-	txScratch      []*station
-	admitScratch   []*station
-	// Multi-domain (busy-cluster) scratch, allocated only when the
-	// topology hides stations from each other.
-	frozenScratch  []sim.Time
-	heardScratch   []bool
-	clusterScratch []bool
+	admitScratch []*station
+	// Busy-cluster scratch, one slot per station: a cluster holds each
+	// station at most once, as an entry or as a candidate. nEntries
+	// counts the entries of the cluster being resolved.
+	entries  []clusterEntry
+	nEntries int
+	cands    []clusterCand
+
+	// Control-frame airtimes, fixed per PHY.
+	rtsT, ctsT, ackT sim.Time
 }
 
 // New validates the configuration and prepares an engine.
@@ -515,6 +516,7 @@ func (e *Engine) init(cfg Config) error {
 	nSt := len(cfg.Stations)
 	e.cfg = cfg
 	e.phy = cfg.Phy
+	e.rtsT, e.ctsT, e.ackT = e.phy.RTSTxTime(), e.phy.CTSTxTime(), e.phy.ACKTxTime()
 	e.topo = cfg.Channel.Topology
 	e.now = 0
 	e.nActive = 0
@@ -607,10 +609,9 @@ func (e *Engine) init(cfg Config) error {
 			e.arrHeap.push(s)
 		}
 	}
-	if e.multi && len(e.frozenScratch) != nSt {
-		e.frozenScratch = make([]sim.Time, nSt)
-		e.heardScratch = make([]bool, nSt)
-		e.clusterScratch = make([]bool, nSt)
+	if len(e.entries) != nSt {
+		e.entries = make([]clusterEntry, nSt)
+		e.cands = make([]clusterCand, nSt)
 	}
 	return nil
 }
@@ -645,15 +646,15 @@ func (e *Engine) resolveEDCA(s *station, sc StationConfig) error {
 		s.eifsT = p.EIFS()
 	} else {
 		s.aifs = edca.AIFS(p)
-		s.eifsT = p.SIFS + p.ACKTxTime() + s.aifs
+		s.eifsT = p.SIFS + e.ackT + s.aifs
 	}
 	s.cwMin = edca.CWMin
 	s.cwMax = edca.CWMax
 	s.txop = edca.TXOPLimit
 	s.cw = s.cwMin
 	if s.txop > 0 && e.multi {
-		// The busy-cluster engine resolves one overlapping cluster at a
-		// time; modelling a multi-frame TXOP inside a cluster of hidden
+		// The resolver handles one overlapping cluster at a time;
+		// modelling a multi-frame TXOP inside a cluster of hidden
 		// transmitters is out of scope, so reject rather than silently
 		// ignore the limit.
 		return fmt.Errorf("TXOP limit %v unsupported with a hidden-station topology", s.txop)
@@ -806,7 +807,7 @@ func (e *Engine) Run() *Result {
 // arrivals are admitted, so the idle period costs O(stations + due
 // arrivals) instead of a full rescan per admitted arrival.
 func (e *Engine) contend(horizon sim.Time) bool {
-	p := e.phy
+	slot := e.phy.Slot
 	// Candidate transmission instants for stations with an active
 	// countdown (frame pending or post-backoff). Stations that became
 	// backlogged while the medium was busy draw their backoff here, in
@@ -823,7 +824,7 @@ func (e *Engine) contend(horizon sim.Time) bool {
 			s.drawBackoff()
 			s.postBO = false
 		}
-		t := e.senseStart(s) + sim.Time(s.backoff)*p.Slot
+		t := e.senseStart(s) + sim.Time(s.backoff)*slot
 		if t < e.now {
 			// Immediate-access frames may have arrived after the
 			// DIFS-idle point: they transmit right away, i.e. now.
@@ -887,7 +888,7 @@ func (e *Engine) admitIdleArrivals() sim.Time {
 		}
 	}
 	minCand := sim.MaxTime
-	p := e.phy
+	slot := e.phy.Slot
 	for _, s := range adm {
 		hadFrame := s.queueLen() > 0
 		counting := s.backoff >= 0
@@ -918,7 +919,7 @@ func (e *Engine) admitIdleArrivals() sim.Time {
 			// with no backoff.
 			s.backoff = 0
 		}
-		t := e.senseStart(s) + sim.Time(s.backoff)*p.Slot
+		t := e.senseStart(s) + sim.Time(s.backoff)*slot
 		if t < e.now {
 			t = e.now
 		}
@@ -930,100 +931,20 @@ func (e *Engine) admitIdleArrivals() sim.Time {
 	return minCand
 }
 
-// transmitAt advances the clock to txAt, decrements frozen counters, and
-// executes the transmission (success or collision) of every station
-// whose countdown expires at txAt. In a multi-domain topology the busy
-// period is a cluster of possibly overlapping transmissions, handled by
-// the imperfect-channel engine in channel.go.
+// transmitAt resolves the busy period starting at txAt: scheduled
+// parameter changes due by then take effect first — before the busy
+// period is resolved, and before any channel randomness for it is
+// drawn — then the cluster resolver in channel.go runs it.
 func (e *Engine) transmitAt(txAt sim.Time) {
 	if e.schedPending(txAt) {
-		// Scheduled parameter changes take effect here — before the busy
-		// period starting at txAt is resolved, and before any channel
-		// randomness for it is drawn.
 		e.applyEvents(txAt)
 	}
-	if e.multi {
-		e.transmitCluster(txAt)
-		return
-	}
-	p := e.phy
-	winners := e.winnersScratch[:0]
-	for _, s := range e.stations {
-		if s.backoff < 0 {
-			continue
-		}
-		start := e.senseStart(s)
-		if start+sim.Time(s.backoff)*p.Slot <= txAt {
-			winners = append(winners, s)
-			s.backoff = 0
-			continue
-		}
-		// Decrement by the number of whole slots that elapsed before the
-		// medium went busy.
-		decrementTo(s, start, txAt, p.Slot)
-	}
-	e.now = txAt
-
-	// Post-backoff countdowns that expire with an empty queue simply end:
-	// the station returns to the fully idle state.
-	tx := e.txScratch[:0]
-	for _, s := range winners {
-		if s.hol() == nil {
-			s.backoff = -1
-			s.postBO = false
-			e.nActive--
-			continue
-		}
-		tx = append(tx, s)
-	}
-	e.winnersScratch = winners[:0]
-	defer func() { e.txScratch = tx[:0] }()
-	if len(tx) == 0 {
-		return
-	}
-
-	if len(tx) == 1 {
-		e.success(tx[0])
-		return
-	}
-	e.collision(tx)
+	e.transmitCluster(txAt)
 }
 
 // usesRTS reports whether frame f is sent with the four-way handshake.
 func (e *Engine) usesRTS(f *Frame) bool {
 	return e.cfg.RTSThreshold > 0 && f.Size >= e.cfg.RTSThreshold
-}
-
-// success completes a frame exchange for station s that won contention
-// uncontested: either DATA + SIFS + ACK, or the RTS/CTS four-way
-// handshake when the frame crosses the RTS threshold. On a lossy
-// channel the data frame may still be corrupted in flight, in which
-// case the attempt degrades to a channel-error failure.
-func (e *Engine) success(s *station) {
-	p := e.phy
-	f := s.hol()
-	txStart := e.now
-	dataStart := e.now
-	if e.usesRTS(f) {
-		dataStart += p.RTSTxTime() + p.SIFS + p.CTSTxTime() + p.SIFS
-	}
-	dataEnd := dataStart + e.dataTxTime(s, f.Size)
-	if e.lossy && e.chrng.Float64() < s.loss.FrameErrorProb(f.Size) {
-		e.phyFail(s, f, dataEnd)
-		return
-	}
-	exchEnd := dataEnd + p.SIFS + p.ACKTxTime()
-
-	// Medium busy until the ACK completes; everyone resumes after that.
-	e.now = exchEnd
-	for _, o := range e.stations {
-		o.idleAt = exchEnd
-		o.eifs = false
-	}
-	e.deliver(s, f, txStart, dataEnd, exchEnd, false)
-	if s.txop > 0 {
-		e.txopBurst(s, txStart)
-	}
 }
 
 // txopBurst continues station s's transmit opportunity after the frame
@@ -1050,7 +971,7 @@ func (e *Engine) txopBurst(s *station, txopStart sim.Time) {
 		}
 		txStart := e.now + p.SIFS
 		dataEnd := txStart + e.dataTxTime(s, f.Size)
-		exchEnd := dataEnd + p.SIFS + p.ACKTxTime()
+		exchEnd := dataEnd + p.SIFS + e.ackT
 		if exchEnd-txopStart > s.txop {
 			return
 		}
@@ -1143,9 +1064,8 @@ func (e *Engine) phyFail(s *station, f *Frame, dataEnd sim.Time) {
 // counter, window doubling or the retry-limit drop, the backoff redraw,
 // and the EIFS deferral that stands in for the ACK timeout.
 func (e *Engine) retryFail(s *station, at sim.Time) {
-	p := e.phy
 	s.retries++
-	if s.retries >= p.RetryLimit {
+	if s.retries >= e.phy.RetryLimit {
 		// Long retry limit exhausted: drop the frame.
 		df := s.popHOL()
 		e.res.Stats[s.id].Dropped++
@@ -1173,165 +1093,6 @@ func (e *Engine) retryFail(s *station, at sim.Time) {
 	// into the station's sensing by marking EIFS (ACKTimeout+DIFS ~= EIFS
 	// for our PHY profiles).
 	s.eifs = true
-}
-
-// collision handles two or more stations transmitting in the same slot.
-// With capture enabled and one frame dominant enough in power, the
-// receiver decodes it and only the others fail. Otherwise the medium is
-// busy for the longest colliding transmission (a full data frame, or
-// just an RTS for stations using the handshake — the collision-cost
-// reduction RTS/CTS exists for); colliders wait for their timeout,
-// double their windows and redraw; bystanders defer with EIFS.
-func (e *Engine) collision(tx []*station) {
-	if e.captureOn {
-		if w := e.captureWinner(tx); w != nil {
-			e.capturedCollision(w, tx)
-			return
-		}
-	}
-	p := e.phy
-	var busy sim.Time
-	for _, s := range tx {
-		f := s.hol()
-		d := e.dataTxTime(s, f.Size)
-		if e.usesRTS(f) {
-			d = p.RTSTxTime()
-		}
-		if d > busy {
-			busy = d
-		}
-		e.res.Stats[s.id].Attempts++
-		e.res.Stats[s.id].Collisions++
-		if e.cfg.OnEvent != nil {
-			e.cfg.OnEvent(Event{At: e.now, Kind: EvTxStart, Station: s.id,
-				Size: f.Size, Probe: f.Probe, Index: f.Index, Retries: s.retries, AC: s.ac})
-			e.cfg.OnEvent(Event{At: e.now, Kind: EvCollision, Station: s.id,
-				Size: f.Size, Probe: f.Probe, Index: f.Index, Retries: s.retries, AC: s.ac})
-		}
-	}
-	busyEnd := e.now + busy
-
-	for _, s := range tx {
-		s.inTx = true
-	}
-	for _, o := range e.stations {
-		o.eifs = !o.inTx
-		o.idleAt = busyEnd
-	}
-	for _, s := range tx {
-		s.inTx = false
-	}
-
-	for _, s := range tx {
-		e.retryFail(s, busyEnd)
-	}
-	e.now = busyEnd
-	e.pumpArrivals(busyEnd)
-}
-
-// captureWinner returns the station whose frame the receiver captures
-// out of the simultaneous transmissions tx: the unique strongest one,
-// provided its margin over the runner-up meets the configured
-// threshold. It returns nil when powers tie or the margin is short.
-func (e *Engine) captureWinner(tx []*station) *station {
-	best, second := tx[0], math.Inf(-1)
-	for _, s := range tx[1:] {
-		switch {
-		case s.power > best.power:
-			second = best.power
-			best = s
-		case s.power > second:
-			second = s.power
-		}
-	}
-	if best.power-second >= e.cfg.Channel.CaptureThresholdDB {
-		return best
-	}
-	return nil
-}
-
-// capturedCollision resolves a same-slot overlap whose strongest frame
-// the receiver captures: the winner completes a normal exchange (still
-// subject to the channel error model) while the losers behave exactly
-// like colliders. The medium stays busy until both the winner's
-// exchange and the longest losing transmission are over.
-func (e *Engine) capturedCollision(w *station, tx []*station) {
-	p := e.phy
-	var losersBusy sim.Time
-	for _, s := range tx {
-		if s == w {
-			continue
-		}
-		f := s.hol()
-		d := e.dataTxTime(s, f.Size)
-		if e.usesRTS(f) {
-			d = p.RTSTxTime()
-		}
-		if d > losersBusy {
-			losersBusy = d
-		}
-		e.res.Stats[s.id].Attempts++
-		e.res.Stats[s.id].Collisions++
-		if e.cfg.OnEvent != nil {
-			e.cfg.OnEvent(Event{At: e.now, Kind: EvTxStart, Station: s.id,
-				Size: f.Size, Probe: f.Probe, Index: f.Index, Retries: s.retries, AC: s.ac})
-			e.cfg.OnEvent(Event{At: e.now, Kind: EvCollision, Station: s.id,
-				Size: f.Size, Probe: f.Probe, Index: f.Index, Retries: s.retries, AC: s.ac})
-		}
-	}
-
-	wf := w.hol()
-	dataStart := e.now
-	if e.usesRTS(wf) {
-		dataStart += p.RTSTxTime() + p.SIFS + p.CTSTxTime() + p.SIFS
-	}
-	dataEnd := dataStart + e.dataTxTime(w, wf.Size)
-	corrupted := e.lossy && e.chrng.Float64() < w.loss.FrameErrorProb(wf.Size)
-	start := e.now
-
-	if corrupted {
-		// The captured frame still failed the channel: everyone loses.
-		busyEnd := dataEnd
-		if be := start + losersBusy; be > busyEnd {
-			busyEnd = be
-		}
-		e.res.Stats[w.id].Attempts++
-		e.res.Stats[w.id].ChannelErrors++
-		if e.cfg.OnEvent != nil {
-			e.cfg.OnEvent(Event{At: start, Kind: EvTxStart, Station: w.id,
-				Size: wf.Size, Probe: wf.Probe, Index: wf.Index, Retries: w.retries, AC: w.ac})
-			e.cfg.OnEvent(Event{At: dataEnd, Kind: EvPhyError, Station: w.id,
-				Size: wf.Size, Probe: wf.Probe, Index: wf.Index, Retries: w.retries, AC: w.ac})
-		}
-		for _, o := range e.stations {
-			o.eifs = true
-			o.idleAt = busyEnd
-		}
-		for _, s := range tx {
-			e.retryFail(s, busyEnd)
-		}
-		e.now = busyEnd
-		e.pumpArrivals(busyEnd)
-		return
-	}
-
-	exchEnd := dataEnd + p.SIFS + p.ACKTxTime()
-	busyEnd := exchEnd
-	if be := start + losersBusy; be > busyEnd {
-		busyEnd = be
-	}
-	for _, o := range e.stations {
-		o.eifs = false
-		o.idleAt = busyEnd
-	}
-	e.now = busyEnd
-	e.deliver(w, wf, start, dataEnd, exchEnd, true)
-	for _, s := range tx {
-		if s != w {
-			e.retryFail(s, busyEnd)
-		}
-	}
-	e.pumpArrivals(busyEnd)
 }
 
 // Run is a convenience wrapper: build an engine and execute it.

@@ -55,8 +55,8 @@ func randomConfig(r *sim.Rand, horizon sim.Time) Config {
 			sc.Loss = &override
 		}
 		// EDCA knobs: any category without a TXOP limit is always legal;
-		// the TXOP-bearing ones (AC_VI/AC_VO) only on a full mesh, where
-		// the single-domain engine handles bursting.
+		// the TXOP-bearing ones (AC_VI/AC_VO) only on a full mesh, the
+		// one topology where the resolver bursts.
 		switch r.Intn(3) {
 		case 0:
 			sc.AC = []phy.AccessCategory{phy.ACBackground, phy.ACBestEffort}[r.Intn(2)]

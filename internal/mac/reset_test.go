@@ -134,10 +134,10 @@ func TestResetRunAllocBound(t *testing.T) {
 
 // scheduledHotScenario is hotScenario carrying a station-parameter
 // event schedule — channel-wide FER, one station's rate, a power bump —
-// that keeps the run on the single-domain engine, whose hot path the
-// alloc bounds pin. (Topology-edge events flip into the busy-cluster
-// engine, which allocates per busy period by design; the equivalence
-// test covers that family separately.)
+// for the alloc bounds and the reuse equivalence. Topology-edge events
+// are pinned separately: TestResetScheduledEquivalence appends a
+// hearing-graph cut, and TestHotPathAllocBound's edge-events input
+// bounds the allocations of a run that hides and re-links a pair.
 func scheduledHotScenario(seed int64) Config {
 	cfg := hotScenario(seed, false)
 	fer, rate, pow := 0.15, 5.5e6, 6.0

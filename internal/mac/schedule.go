@@ -160,13 +160,6 @@ func (e *Engine) initSchedule(cfg Config) error {
 	}
 	e.topo = e.topoOwned
 	e.multi = !e.topoOwned.IsFullMesh()
-	// The edits may hide stations later even if the graph starts as a
-	// full mesh; the busy-cluster scratch must exist before that flip.
-	if len(e.frozenScratch) != nSt {
-		e.frozenScratch = make([]sim.Time, nSt)
-		e.heardScratch = make([]bool, nSt)
-		e.clusterScratch = make([]bool, nSt)
-	}
 	return nil
 }
 
@@ -204,7 +197,8 @@ func (e *Engine) schedPending(t sim.Time) bool {
 // channel RNG from this busy period on — a perfect-channel run with no
 // such event never draws from it, preserving the pre-extension draw
 // sequence); topology edits go to the engine-owned clone and re-derive
-// the single/multi-domain dispatch.
+// whether any station is hidden, which decides whether a busy cluster
+// can grow.
 func (e *Engine) applyEvent(ev *ScheduledEvent) {
 	if te := ev.SetTopologyEdge; te != nil {
 		e.topoOwned.hear[te.A][te.B] = te.Hears

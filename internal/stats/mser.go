@@ -42,7 +42,10 @@ func MSERm(xs []float64, m int) MSERResult {
 		batch[i] = sum / float64(m)
 	}
 
-	// Suffix sums allow O(1) mean/variance of batch[d:].
+	// Each candidate d recomputes the mean and the sum of squared
+	// deviations of batch[d:] from scratch, O(k) per d. The two-pass
+	// form is kept on purpose: a running-sum form would change the
+	// rounding and could move the chosen cut.
 	bestD, bestZ := 0, 0.0
 	first := true
 	maxD := k / 2
@@ -82,7 +85,9 @@ func TruncateMSER(xs []float64, m int) []float64 {
 // returns the 1-based index of the first packet whose mean lies within
 // tol (relative) of the steady-state value *and stays within it* for the
 // remainder of the series. It returns len(means) when the series never
-// settles.
+// settles (its last point is out of tolerance) and 0 for an empty
+// series. One backward scan for the last out-of-tolerance point makes
+// it O(len(means)).
 func TransientLength(means []float64, steady float64, tol float64) int {
 	if tol <= 0 {
 		panic(fmt.Sprintf("stats: tolerance %g must be positive", tol))
@@ -97,19 +102,15 @@ func TransientLength(means []float64, steady float64, tol float64) int {
 		}
 		return rel <= tol
 	}
-	for i := range means {
-		ok := true
-		for j := i; j < len(means); j++ {
-			if !within(means[j]) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return i + 1
-		}
+	// The series settles just after its last out-of-tolerance point.
+	last := len(means) - 1
+	for last >= 0 && within(means[last]) {
+		last--
 	}
-	return len(means)
+	if last+1 == len(means) {
+		return len(means)
+	}
+	return last + 2
 }
 
 // RunningMeans returns the per-index mean across replications:

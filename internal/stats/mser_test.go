@@ -128,6 +128,59 @@ func TestTransientLengthExcursionResets(t *testing.T) {
 	}
 }
 
+// quadraticTransientLength is the O(n²) forward search TransientLength
+// replaced: for every i it rescans to the end of the series. It is kept
+// as the reference for the backward scan.
+func quadraticTransientLength(means []float64, steady, tol float64) int {
+	within := func(x float64) bool {
+		rel := (x - steady) / steady
+		if rel < 0 {
+			rel = -rel
+		}
+		return rel <= tol
+	}
+	for i := range means {
+		ok := true
+		for j := i; j < len(means); j++ {
+			if !within(means[j]) {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			return i + 1
+		}
+	}
+	return len(means)
+}
+
+// TestTransientLengthMatchesQuadratic holds the backward scan to the
+// quadratic search on random series: empty ones, ones that never
+// settle, ones whose last point is out of tolerance, excursions, points
+// exactly on the tolerance edge, and a negative steady-state mean.
+func TestTransientLengthMatchesQuadratic(t *testing.T) {
+	r := sim.NewRand(10)
+	levels := []float64{0.5, 0.9, 0.95, 1, 1.05, 1.1, 2}
+	for trial := 0; trial < 5000; trial++ {
+		means := make([]float64, r.Intn(30))
+		for i := range means {
+			means[i] = levels[r.Intn(len(levels))]
+		}
+		steady, tol := 1.0, []float64{0.05, 0.1, 0.5}[r.Intn(3)]
+		if r.Intn(4) == 0 {
+			steady = -1
+			for i := range means {
+				means[i] = -means[i]
+			}
+		}
+		got := TransientLength(means, steady, tol)
+		if want := quadraticTransientLength(means, steady, tol); got != want {
+			t.Fatalf("trial %d: TransientLength(%v, %g, %g) = %d, quadratic %d",
+				trial, means, steady, tol, got, want)
+		}
+	}
+}
+
 func TestTransientLengthPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"zero tol":    func() { TransientLength([]float64{1}, 1, 0) },

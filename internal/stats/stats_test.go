@@ -418,6 +418,8 @@ func TestKSSupremumBothJumpSets(t *testing.T) {
 // TestKSMatchesBruteForce cross-validates the optimized supremum search
 // against the brute-force evaluation on random samples, including heavy
 // ties (integer-valued draws), tiny samples, and disjoint supports.
+// Both sides divide the same integer counts, so they must agree bit for
+// bit.
 func TestKSMatchesBruteForce(t *testing.T) {
 	r := sim.NewRand(77)
 	draw := func(n int, tie bool, shift float64) []float64 {
@@ -442,7 +444,7 @@ func TestKSMatchesBruteForce(t *testing.T) {
 		b := draw(nb, tieB, shift)
 		got := KSTwoSample(a, b, 0.05).D
 		want := bruteForceKSD(a, b)
-		if math.Abs(got-want) > 1e-12 {
+		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("trial %d: KS D = %g, brute force %g (a=%v b=%v)", trial, got, want, a, b)
 		}
 	}

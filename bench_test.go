@@ -15,7 +15,9 @@ package csmabw
 // Figure benchmarks run on the shared replication engine (all cores;
 // see BenchmarkRunnerScaling for the worker sweep) and record their
 // wall time into BENCH_runner.json so later changes can track the perf
-// trajectory; the file is only written when figure benchmarks ran.
+// trajectory. The file is the committed baseline of the full set, so it
+// is only written by a full run (-bench .) in which figure benchmarks
+// ran; a narrower -bench pattern leaves it untouched.
 //
 // Absolute values differ from the paper's testbed, but each metric's
 // *shape* relationship (who wins, where curves bend) must match; the
@@ -23,6 +25,7 @@ package csmabw
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -125,7 +128,13 @@ func writeBenchJSON() {
 
 func TestMain(m *testing.M) {
 	code := m.Run()
-	writeBenchJSON()
+	switch pattern := flag.Lookup("test.bench").Value.String(); pattern {
+	case ".":
+		writeBenchJSON()
+	case "":
+	default:
+		fmt.Fprintf(os.Stderr, "BENCH_runner.json left untouched: -bench %q is not the full set (-bench .)\n", pattern)
+	}
 	os.Exit(code)
 }
 
@@ -528,8 +537,8 @@ func BenchmarkAblationPostBackoff(b *testing.B) {
 				Seed:                   int64(3000 + rep),
 				DisableImmediateAccess: disable,
 				Stations: []mac.StationConfig{
-					{Arrivals: traffic.TrainAtRate(5, 5e6, 1500, sim.Second)},
-					{Arrivals: traffic.Poisson(r, 4e6, 1500, 0, 2*sim.Second)},
+					{Source: traffic.NewTrain(5, 2400*sim.Microsecond, 1500, sim.Second)}, // 5 Mb/s
+					{Source: traffic.NewPoisson(r, 4e6, 1500, 0, 2*sim.Second)},
 				},
 			}
 			res, err := mac.Run(cfg)

@@ -78,7 +78,7 @@ func parseStation(spec string, r *sim.Rand, end sim.Time) (traffic.Source, float
 		return nil, 0, fmt.Errorf("station spec %q: want kind:rateMbps:size[:powerDB]", spec)
 	}
 	rate, err := strconv.ParseFloat(parts[1], 64)
-	if err != nil || rate <= 0 {
+	if err != nil || clikit.CheckFinite("rate", rate) != nil || rate <= 0 {
 		return nil, 0, fmt.Errorf("station spec %q: bad rate", spec)
 	}
 	size, err := strconv.Atoi(parts[2])
@@ -92,6 +92,10 @@ func parseStation(spec string, r *sim.Rand, end sim.Time) (traffic.Source, float
 			return nil, 0, fmt.Errorf("station spec %q: bad power", spec)
 		}
 	}
+	// The traffic generators refuse packets under 1 ns apart.
+	if sim.FromSeconds(float64(size*8)/(rate*1e6)) < 1 {
+		return nil, 0, fmt.Errorf("station spec %q: bad rate: %d-byte packets under 1 ns apart", spec, size)
+	}
 	// Lazy sources: the engine pulls arrivals as the clock advances, so
 	// long -duration runs never materialize their schedules up front.
 	switch parts[0] {
@@ -101,6 +105,18 @@ func parseStation(spec string, r *sim.Rand, end sim.Time) (traffic.Source, float
 		return traffic.NewCBR(rate*1e6, size, 0, end), power, nil
 	}
 	return nil, 0, fmt.Errorf("station spec %q: unknown kind %q", spec, parts[0])
+}
+
+// checkDuration screens -duration: a NaN, infinite or non-positive
+// length has no simulated interval to report on.
+func checkDuration(seconds float64) error {
+	if err := clikit.CheckFinite("-duration", seconds); err != nil {
+		return err
+	}
+	if seconds <= 0 {
+		return fmt.Errorf("-duration must be positive, got %g", seconds)
+	}
+	return nil
 }
 
 func phyFor(name string) (phy.Params, error) {
@@ -132,7 +148,7 @@ type stationResult struct {
 func main() {
 	var specs stationSpecs
 	flag.Var(&specs, "station", "station spec kind:rateMbps:size (repeatable)")
-	phyName := flag.String("phy", "b11", "PHY profile: b11, b11short or g54")
+	phyName := flag.String("phy", "b11", "PHY profile: b11, b11short, g54 or a54")
 	duration := flag.Float64("duration", 5, "simulated seconds")
 	seed := flag.Int64("seed", 1, "random seed")
 	rts := flag.Int("rts", 0, "RTS/CTS threshold in bytes (0 = off)")
@@ -175,6 +191,9 @@ func main() {
 	if *reps < 1 {
 		clikit.Exitf(2, "-reps must be at least 1")
 	}
+	if err := checkDuration(*duration); err != nil {
+		clikit.Exitf(2, "%v", err)
+	}
 	var p phy.Params
 	if scen != nil {
 		p = scen.Link.WithDefaults().Phy
@@ -186,6 +205,13 @@ func main() {
 		clikit.Exitf(2, "%v", err)
 	}
 	end := sim.FromSeconds(*duration)
+	// A malformed -station spec is a usage error: screen every spec
+	// before any replication runs (building a source draws nothing).
+	for _, spec := range specs {
+		if _, _, err := parseStation(spec, nil, end); err != nil {
+			clikit.Exitf(2, "%v", err)
+		}
+	}
 
 	var tw *trace.Writer
 	var traceFile *os.File

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -58,6 +59,11 @@ func TestParseStationErrors(t *testing.T) {
 		{"cbr:2:1500:3:9", "kind:rateMbps:size"},
 		{"cbr:x:1500", "bad rate"},
 		{"cbr:0:1500", "bad rate"},
+		{"cbr:NaN:1500", "bad rate"},
+		{"cbr:Inf:1500", "bad rate"},
+		{"poisson:+Inf:1500", "bad rate"},
+		{"poisson:-Inf:1500", "bad rate"},
+		{"cbr:1e9:1500", "under 1 ns"},
 		{"cbr:2:zero", "bad size"},
 		{"cbr:2:-5", "bad size"},
 		{"warp:2:1500", "unknown kind"},
@@ -71,6 +77,17 @@ func TestParseStationErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), tt.frag) {
 			t.Errorf("%q: error %q lacks %q", tt.spec, err, tt.frag)
 		}
+	}
+}
+
+func TestCheckDuration(t *testing.T) {
+	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
+		if checkDuration(d) == nil {
+			t.Errorf("-duration %g accepted", d)
+		}
+	}
+	if err := checkDuration(0.5); err != nil {
+		t.Errorf("-duration 0.5 rejected: %v", err)
 	}
 }
 

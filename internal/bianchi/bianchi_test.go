@@ -97,7 +97,7 @@ func TestMACEngineMatchesBianchi(t *testing.T) {
 		cfg := mac.Config{Phy: p, Seed: int64(100 + n), Horizon: 8 * sim.Second}
 		for i := 0; i < n; i++ {
 			cfg.Stations = append(cfg.Stations, mac.StationConfig{
-				Arrivals: traffic.CBR(20e6, 1500, 0, 8*sim.Second),
+				Source: traffic.NewCBR(20e6, 1500, 0, 8*sim.Second),
 			})
 		}
 		res, err := mac.Run(cfg)

@@ -49,8 +49,8 @@ func AblationImmediateAccess(p AblationParams, sc Scale) (*Figure, error) {
 			DisableImmediateAccess: disable,
 			Horizon:                end,
 			Stations: []mac.StationConfig{
-				{Arrivals: traffic.Train(p.TrainLen, gI, p.PacketSize, start)},
-				{Arrivals: traffic.Poisson(r.Split(1), p.CrossRateBps, p.PacketSize, 0, end)},
+				{Source: traffic.NewTrain(p.TrainLen, gI, p.PacketSize, start)},
+				{Source: traffic.NewPoisson(r.Split(1), p.CrossRateBps, p.PacketSize, 0, end)},
 			},
 		}
 		res, err := mac.Run(cfg)

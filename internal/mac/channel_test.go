@@ -22,7 +22,7 @@ func twoStationConfig(rateBps float64, ch Channel, rts int) Config {
 	}
 	for i := 0; i < 2; i++ {
 		cfg.Stations = append(cfg.Stations, StationConfig{
-			Arrivals: traffic.Poisson(r.Split(uint64(i)), rateBps, 1500, 0, end),
+			Source: traffic.NewPoisson(r.Split(uint64(i)), rateBps, 1500, 0, end),
 		})
 	}
 	return cfg
@@ -177,7 +177,7 @@ func TestChainTopologyMiddleStationSuffers(t *testing.T) {
 	cfg := Config{Phy: phy.B11(), Seed: 11, Horizon: end, Channel: Channel{Topology: Chain(3)}}
 	for i := 0; i < 3; i++ {
 		cfg.Stations = append(cfg.Stations, StationConfig{
-			Arrivals: traffic.Poisson(r.Split(uint64(i)), 2.5e6, 1500, 0, end),
+			Source: traffic.NewPoisson(r.Split(uint64(i)), 2.5e6, 1500, 0, end),
 		})
 	}
 	res := runOne(t, cfg)
@@ -231,8 +231,7 @@ func TestEIFSAfterChannelError(t *testing.T) {
 }
 
 func TestChannelValidation(t *testing.T) {
-	arr := []traffic.Arrival{{At: 0, Size: 100, Index: -1}}
-	stations := []StationConfig{{Arrivals: arr}, {Arrivals: arr}}
+	stations := []StationConfig{{}, {}} // idle: validation needs no traffic
 	cases := []Config{
 		{Phy: phy.B11(), Stations: stations, Channel: Channel{Loss: phy.ErrorModel{FER: 1}}},
 		{Phy: phy.B11(), Stations: stations, Channel: Channel{Loss: phy.ErrorModel{BER: -0.1}}},
@@ -245,7 +244,7 @@ func TestChannelValidation(t *testing.T) {
 		}
 	}
 	bad := phy.ErrorModel{FER: 2}
-	cfg := Config{Phy: phy.B11(), Stations: []StationConfig{{Arrivals: arr, Loss: &bad}}}
+	cfg := Config{Phy: phy.B11(), Stations: []StationConfig{{Loss: &bad}}}
 	if _, err := New(cfg); err == nil {
 		t.Error("invalid per-station loss accepted")
 	}

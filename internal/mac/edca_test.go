@@ -29,7 +29,7 @@ func edcaVariants(seed int64) []Config {
 		for i := 0; i < n; i++ {
 			rate := (0.5 + r.Float64()*5) * 1e6
 			sc := StationConfig{
-				Arrivals: traffic.Poisson(r.Split(uint64(i)+1), rate, 1500, 0, horizon),
+				Source: traffic.NewPoisson(r.Split(uint64(i)+1), rate, 1500, 0, horizon),
 			}
 			switch v {
 			case 1:
@@ -211,7 +211,7 @@ func TestEDCAConfigValidation(t *testing.T) {
 	base := func() Config {
 		return Config{
 			Phy:      phy.B11(),
-			Stations: []StationConfig{{Arrivals: traffic.Train(2, 0, 100, 0)}},
+			Stations: []StationConfig{{Source: traffic.NewTrain(2, 0, 100, 0)}},
 		}
 	}
 
@@ -234,7 +234,7 @@ func TestEDCAConfigValidation(t *testing.T) {
 	}
 
 	cfg = base()
-	cfg.Stations = append(cfg.Stations, StationConfig{Arrivals: traffic.Train(2, 0, 100, 0)})
+	cfg.Stations = append(cfg.Stations, StationConfig{Source: traffic.NewTrain(2, 0, 100, 0)})
 	cfg.Stations[0].AC = phy.ACVoice
 	cfg.Channel.Topology = HiddenPair()
 	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "TXOP") {

@@ -17,7 +17,7 @@ func TestRetryLimitDropsFrames(t *testing.T) {
 	arr := []traffic.Arrival{{At: sim.Millisecond, Size: 1500, Index: -1}}
 	res := runOne(t, Config{
 		Phy:      p,
-		Stations: []StationConfig{{Arrivals: arr}, {Arrivals: arr}},
+		Stations: []StationConfig{{Source: traffic.FromSchedule(arr)}, {Source: traffic.FromSchedule(arr)}},
 		Seed:     1,
 	})
 	totalDropped := res.Stats[0].Dropped + res.Stats[1].Dropped
@@ -33,7 +33,7 @@ func TestSimultaneousIdleArrivalsCollide(t *testing.T) {
 	arr := []traffic.Arrival{{At: sim.Millisecond, Size: 1500, Index: -1}}
 	res := runOne(t, Config{
 		Phy:      phy.B11(),
-		Stations: []StationConfig{{Arrivals: arr}, {Arrivals: arr}},
+		Stations: []StationConfig{{Source: traffic.FromSchedule(arr)}, {Source: traffic.FromSchedule(arr)}},
 		Seed:     2,
 	})
 	if res.Stats[0].Collisions == 0 || res.Stats[1].Collisions == 0 {
@@ -52,7 +52,7 @@ func TestCollisionCostsAtLeastFrameAirtime(t *testing.T) {
 	arr := []traffic.Arrival{{At: sim.Millisecond, Size: 1500, Index: -1}}
 	res := runOne(t, Config{
 		Phy:      p,
-		Stations: []StationConfig{{Arrivals: arr}, {Arrivals: arr}},
+		Stations: []StationConfig{{Source: traffic.FromSchedule(arr)}, {Source: traffic.FromSchedule(arr)}},
 		Seed:     3,
 	})
 	minDepart := sim.Millisecond + p.DIFS + 2*p.DataTxTime(1500)
@@ -73,7 +73,7 @@ func TestPostBackoffThenIdleArrival(t *testing.T) {
 		{At: sim.Millisecond, Size: 1500, Index: -1},
 		{At: 500 * sim.Millisecond, Size: 1500, Index: -1},
 	}
-	res := runOne(t, Config{Phy: p, Stations: []StationConfig{{Arrivals: arr}}, Seed: 4})
+	res := runOne(t, Config{Phy: p, Stations: []StationConfig{{Source: traffic.FromSchedule(arr)}}, Seed: 4})
 	want := p.DIFS + p.DataTxTime(1500)
 	for i, f := range res.Frames[0] {
 		if f.AccessDelay() != want {
@@ -98,7 +98,7 @@ func TestArrivalDuringPostBackoffInheritsCountdown(t *testing.T) {
 	}
 	sawInherited := false
 	for seed := int64(0); seed < 30; seed++ {
-		res := runOne(t, Config{Phy: p, Stations: []StationConfig{{Arrivals: arr}}, Seed: seed})
+		res := runOne(t, Config{Phy: p, Stations: []StationConfig{{Source: traffic.FromSchedule(arr)}}, Seed: seed})
 		if len(res.Frames[0]) != 2 {
 			t.Fatalf("seed %d: delivered %d", seed, len(res.Frames[0]))
 		}
@@ -127,7 +127,7 @@ func TestEIFSAfterOverheardCollision(t *testing.T) {
 	res := runOne(t, Config{
 		Phy: p,
 		Stations: []StationConfig{
-			{Arrivals: collide}, {Arrivals: collide}, {Arrivals: bystander},
+			{Source: traffic.FromSchedule(collide)}, {Source: traffic.FromSchedule(collide)}, {Source: traffic.FromSchedule(bystander)},
 		},
 		Seed: 5,
 	})
@@ -150,7 +150,7 @@ func TestHeterogeneousPacketSizes(t *testing.T) {
 		})
 	}
 	p := phy.B11()
-	res := runOne(t, Config{Phy: p, Stations: []StationConfig{{Arrivals: arr}}, Seed: 6})
+	res := runOne(t, Config{Phy: p, Stations: []StationConfig{{Source: traffic.FromSchedule(arr)}}, Seed: 6})
 	var bits int64
 	for _, f := range res.Frames[0] {
 		if f.AccessDelay() < p.DataTxTime(f.Size) {
@@ -158,8 +158,12 @@ func TestHeterogeneousPacketSizes(t *testing.T) {
 		}
 		bits += int64(f.Size) * 8
 	}
-	if bits != traffic.Bits(arr) {
-		t.Errorf("delivered %d bits of %d offered", bits, traffic.Bits(arr))
+	var offered int64
+	for _, a := range arr {
+		offered += int64(a.Size) * 8
+	}
+	if bits != offered {
+		t.Errorf("delivered %d bits of %d offered", bits, offered)
 	}
 }
 
@@ -169,7 +173,7 @@ func TestG54Profile(t *testing.T) {
 	mk := func(p phy.Params) float64 {
 		res := runOne(t, Config{
 			Phy:      p,
-			Stations: []StationConfig{{Arrivals: traffic.CBR(60e6, 1500, 0, sim.Second)}},
+			Stations: []StationConfig{{Source: traffic.NewCBR(60e6, 1500, 0, sim.Second)}},
 			Seed:     7, Horizon: sim.Second,
 		})
 		return res.Throughput(0, 0, sim.Second)
@@ -187,7 +191,7 @@ func TestQueueGrowsUnderOverload(t *testing.T) {
 	maxQ := 0
 	cfg := Config{
 		Phy:      phy.B11(),
-		Stations: []StationConfig{{Arrivals: traffic.CBR(12e6, 1500, 0, sim.Second)}},
+		Stations: []StationConfig{{Source: traffic.NewCBR(12e6, 1500, 0, sim.Second)}},
 		Seed:     8,
 		Horizon:  sim.Second,
 		OnDepart: nil,

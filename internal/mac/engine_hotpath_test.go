@@ -8,32 +8,22 @@ import (
 	"csmabw/internal/traffic"
 )
 
-// The event-driven core must be an invisible refactor: a scenario fed
-// through lazy sources behaves byte-identically to the same scenario
-// fed through materialized schedules, and the hot path — pump, contend,
+// The event-driven core must be an invisible refactor: a lazily
+// generated scenario behaves byte-identically to the same arrivals
+// replayed from a recorded schedule, and the hot path — pump, contend,
 // transmit, deliver — must not allocate per frame.
 
 // hotScenario is a loaded two-station scenario with enough frames to
-// make per-frame allocations visible.
-func hotScenario(seed int64, lazy bool) Config {
+// make per-frame allocations visible. Its sources are single-use, so
+// every run builds a fresh one.
+func hotScenario(seed int64) Config {
 	end := 3 * sim.Second
-	cfg := Config{Phy: phy.B11(), Seed: seed, Horizon: end}
-	if lazy {
-		cfg.Stations = []StationConfig{
-			{Name: "a", Source: traffic.MergeSources(
-				traffic.NewTrain(200, 2*sim.Millisecond, 1500, 100*sim.Millisecond),
-				traffic.NewPoisson(sim.NewRand(seed+1), 1e6, 576, 0, end))},
-			{Name: "b", Source: traffic.NewPoisson(sim.NewRand(seed+2), 4e6, 1500, 0, end)},
-		}
-	} else {
-		cfg.Stations = []StationConfig{
-			{Name: "a", Arrivals: traffic.Merge(
-				traffic.Train(200, 2*sim.Millisecond, 1500, 100*sim.Millisecond),
-				traffic.Poisson(sim.NewRand(seed+1), 1e6, 576, 0, end))},
-			{Name: "b", Arrivals: traffic.Poisson(sim.NewRand(seed+2), 4e6, 1500, 0, end)},
-		}
-	}
-	return cfg
+	return Config{Phy: phy.B11(), Seed: seed, Horizon: end, Stations: []StationConfig{
+		{Name: "a", Source: traffic.MergeSources(
+			traffic.NewTrain(200, 2*sim.Millisecond, 1500, 100*sim.Millisecond),
+			traffic.NewPoisson(sim.NewRand(seed+1), 1e6, 576, 0, end))},
+		{Name: "b", Source: traffic.NewPoisson(sim.NewRand(seed+2), 4e6, 1500, 0, end)},
+	}}
 }
 
 // flatten reduces a result to comparable per-frame values (the Frame
@@ -48,17 +38,25 @@ func flatten(res *Result) []sim.Time {
 	return out
 }
 
+// TestSourceMatchesArrivalsByteIdentical pins that the engine reads
+// nothing of a source but its arrivals: each station's generator,
+// collected and replayed through traffic.FromSchedule, reproduces the
+// generated run frame for frame.
 func TestSourceMatchesArrivalsByteIdentical(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		eager, err := Run(hotScenario(seed, false))
+		lazy, err := Run(hotScenario(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		lazy, err := Run(hotScenario(seed, true))
+		cfg := hotScenario(seed)
+		for i := range cfg.Stations {
+			cfg.Stations[i].Source = traffic.FromSchedule(traffic.Collect(cfg.Stations[i].Source))
+		}
+		replayed, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fe, fl := flatten(eager), flatten(lazy)
+		fe, fl := flatten(replayed), flatten(lazy)
 		if len(fe) != len(fl) {
 			t.Fatalf("seed %d: %d vs %d frame values", seed, len(fe), len(fl))
 		}
@@ -67,25 +65,25 @@ func TestSourceMatchesArrivalsByteIdentical(t *testing.T) {
 				t.Fatalf("seed %d: frame value %d differs: %v vs %v", seed, i, fe[i], fl[i])
 			}
 		}
-		if eager.End != lazy.End {
-			t.Fatalf("seed %d: end %v vs %v", seed, eager.End, lazy.End)
+		if replayed.End != lazy.End {
+			t.Fatalf("seed %d: end %v vs %v", seed, replayed.End, lazy.End)
 		}
-		for i := range eager.Stats {
-			if eager.Stats[i] != lazy.Stats[i] {
-				t.Fatalf("seed %d: stats[%d] differ: %+v vs %+v", seed, i, eager.Stats[i], lazy.Stats[i])
+		for i := range replayed.Stats {
+			if replayed.Stats[i] != lazy.Stats[i] {
+				t.Fatalf("seed %d: stats[%d] differ: %+v vs %+v", seed, i, replayed.Stats[i], lazy.Stats[i])
 			}
 		}
 	}
 }
 
 func TestStopWhenCutsRunPrefixIntact(t *testing.T) {
-	full, err := Run(hotScenario(3, true))
+	full, err := Run(hotScenario(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Stop once station 0 has delivered 50 frames: everything recorded
 	// up to that point must match the full run exactly.
-	cfg := hotScenario(3, true)
+	cfg := hotScenario(3)
 	delivered := 0
 	cfg.OnDepart = func(e *Engine, f *Frame) {
 		if f.Station == 0 {
@@ -114,11 +112,11 @@ func TestStopWhenCutsRunPrefixIntact(t *testing.T) {
 }
 
 func TestRecordFramesFilter(t *testing.T) {
-	all, err := Run(hotScenario(4, true))
+	all, err := Run(hotScenario(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := hotScenario(4, true)
+	cfg := hotScenario(4)
 	cfg.RecordFrames = func(station int) bool { return station == 0 }
 	got, err := Run(cfg)
 	if err != nil {
@@ -165,7 +163,7 @@ func TestSourceOrderViolationPanics(t *testing.T) {
 // path — AIFS sensing, per-station windows, TXOP bursts and
 // per-station airtimes.
 func hotScenarioEDCA(seed int64) Config {
-	cfg := hotScenario(seed, true)
+	cfg := hotScenario(seed)
 	cfg.Stations[0].AC = phy.ACVideo
 	cfg.Stations[1].AC = phy.ACBestEffort
 	cfg.Stations[1].DataRate = 5.5e6
@@ -183,26 +181,26 @@ func TestHotPathAllocBound(t *testing.T) {
 		name  string
 		build func(seed int64) Config
 	}{
-		{"dcf", func(seed int64) Config { return hotScenario(seed, true) }},
+		{"dcf", func(seed int64) Config { return hotScenario(seed) }},
 		{"edca", hotScenarioEDCA},
 		// Scheduled events must stay off the per-frame path: the whole
 		// schedule costs a handful of setup allocations, then one integer
 		// comparison per busy period.
 		{"events", func(seed int64) Config {
 			cfg := scheduledHotScenario(seed)
-			cfg.Stations = hotScenario(seed, true).Stations
+			cfg.Stations = hotScenario(seed).Stations
 			return cfg
 		}},
 		// The busy-cluster machinery — candidate growth, overlap
 		// resolution, bystander hearing — runs from engine-owned scratch
 		// too: a hidden pair and a mid-run edge cut stay inside the budget.
 		{"hidden", func(seed int64) Config {
-			cfg := hotScenario(seed, true)
+			cfg := hotScenario(seed)
 			cfg.Channel.Topology = HiddenPair()
 			return cfg
 		}},
 		{"edge-events", func(seed int64) Config {
-			cfg := hotScenario(seed, true)
+			cfg := hotScenario(seed)
 			cfg.Schedule = []ScheduledEvent{
 				{At: sim.Second, SetTopologyEdge: &TopologyEdge{A: 0, B: 1, Hears: false}},
 				{At: 2 * sim.Second, SetTopologyEdge: &TopologyEdge{A: 0, B: 1, Hears: true}},
@@ -243,7 +241,7 @@ func TestHotPathAllocBound(t *testing.T) {
 func BenchmarkEngineHotPath(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(hotScenario(int64(i), true)); err != nil {
+		if _, err := Run(hotScenario(int64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -98,16 +98,14 @@ func (f *Frame) TotalDelay() sim.Time { return f.Departed - f.Arrived }
 type StationConfig struct {
 	// Name appears in diagnostics.
 	Name string
-	// Arrivals is the station's time-ordered packet schedule. Probe and
-	// FIFO cross-traffic sharing one queue are expressed by merging
-	// their schedules into a single station (traffic.Merge). Ignored
-	// when Source is set.
-	Arrivals []traffic.Arrival
-	// Source is the lazy form of Arrivals: a pull-based generator the
-	// engine consumes as simulated time advances (traffic.MergeSources
-	// combines probe and FIFO cross flows). It must yield arrivals in
-	// non-decreasing time order with positive sizes; the engine panics
-	// on a violation, since by then the run is undefined.
+	// Source is the station's offered traffic: a pull-based generator
+	// the engine consumes as simulated time advances. Probe and FIFO
+	// cross-traffic sharing one queue are one merged source
+	// (traffic.MergeSources); a recorded schedule enters through
+	// traffic.FromSchedule. It must yield arrivals in non-decreasing
+	// time order with positive sizes; the engine panics on a violation,
+	// since by then the run is undefined. A nil Source is an idle
+	// station that never transmits.
 	Source traffic.Source
 	// PowerDB is the station's received power at the common receiver in
 	// relative dB, consumed by the capture rule. The default 0 dB for
@@ -532,13 +530,6 @@ func (e *Engine) init(cfg Config) error {
 		}
 	}
 	for i, sc := range cfg.Stations {
-		src := sc.Source
-		if src == nil {
-			if err := traffic.Validate(sc.Arrivals); err != nil {
-				return fmt.Errorf("mac: station %d (%s): %w", i, sc.Name, err)
-			}
-			src = traffic.FromSchedule(sc.Arrivals)
-		}
 		loss := cfg.Channel.Loss
 		if sc.Loss != nil {
 			if err := sc.Loss.Validate(); err != nil {
@@ -560,7 +551,7 @@ func (e *Engine) init(cfg Config) error {
 		*s = station{
 			id:      i,
 			name:    sc.Name,
-			src:     src,
+			src:     sc.Source,
 			heapIdx: -1,
 			backoff: -1,
 			power:   sc.PowerDB,
@@ -604,6 +595,9 @@ func (e *Engine) init(cfg Config) error {
 	}
 	// Prime each station's pending arrival and index it.
 	for _, s := range e.stations {
+		if s.src == nil {
+			continue
+		}
 		s.advancePending()
 		if s.hasPending {
 			e.arrHeap.push(s)

@@ -26,7 +26,7 @@ func TestSinglePacketIdleMedium(t *testing.T) {
 	// the station senses DIFS of idle from the arrival, then transmits
 	// with no backoff, so the access delay is exactly DIFS + airtime.
 	arr := []traffic.Arrival{{At: sim.Millisecond, Size: 1500, Index: -1}}
-	res := runOne(t, Config{Phy: p, Stations: []StationConfig{{Arrivals: arr}}, Seed: 1})
+	res := runOne(t, Config{Phy: p, Stations: []StationConfig{{Source: traffic.FromSchedule(arr)}}, Seed: 1})
 	if len(res.Frames[0]) != 1 {
 		t.Fatalf("delivered %d frames, want 1", len(res.Frames[0]))
 	}
@@ -51,7 +51,7 @@ func TestPacketAtTimeZeroSensesDIFS(t *testing.T) {
 	// exact simulation origin, performs a backoff draw). Departure is at
 	// least DIFS + airtime.
 	arr := []traffic.Arrival{{At: 0, Size: 1500, Index: -1}}
-	res := runOne(t, Config{Phy: p, Stations: []StationConfig{{Arrivals: arr}}, Seed: 2})
+	res := runOne(t, Config{Phy: p, Stations: []StationConfig{{Source: traffic.FromSchedule(arr)}}, Seed: 2})
 	f := res.Frames[0][0]
 	if f.Departed < p.DIFS+p.DataTxTime(1500) {
 		t.Errorf("departed %v before DIFS+airtime", f.Departed)
@@ -71,7 +71,7 @@ func TestBackToBackPacketsBackoff(t *testing.T) {
 		{At: sim.Millisecond, Size: 1500, Index: -1},
 		{At: sim.Millisecond, Size: 1500, Index: -1},
 	}
-	res := runOne(t, Config{Phy: p, Stations: []StationConfig{{Arrivals: arr}}, Seed: 3})
+	res := runOne(t, Config{Phy: p, Stations: []StationConfig{{Source: traffic.FromSchedule(arr)}}, Seed: 3})
 	if len(res.Frames[0]) != 2 {
 		t.Fatalf("delivered %d", len(res.Frames[0]))
 	}
@@ -89,11 +89,11 @@ func TestBackToBackPacketsBackoff(t *testing.T) {
 }
 
 func TestFIFOOrderPreserved(t *testing.T) {
-	arr := traffic.Merge(
-		traffic.Train(20, 50*sim.Microsecond, 1000, sim.Millisecond),
-		traffic.Poisson(sim.NewRand(5), 2e6, 500, 0, 20*sim.Millisecond),
+	arr := traffic.MergeSources(
+		traffic.NewTrain(20, 50*sim.Microsecond, 1000, sim.Millisecond),
+		traffic.NewPoisson(sim.NewRand(5), 2e6, 500, 0, 20*sim.Millisecond),
 	)
-	res := runOne(t, Config{Phy: b11(), Stations: []StationConfig{{Arrivals: arr}}, Seed: 4})
+	res := runOne(t, Config{Phy: b11(), Stations: []StationConfig{{Source: arr}}, Seed: 4})
 	fs := res.Frames[0]
 	for i := 1; i < len(fs); i++ {
 		if fs[i].Arrived < fs[i-1].Arrived {
@@ -108,14 +108,14 @@ func TestFIFOOrderPreserved(t *testing.T) {
 
 func TestDelaysNonNegativeAndBounded(t *testing.T) {
 	p := b11()
-	arr := traffic.Merge(
-		traffic.TrainAtRate(100, 5e6, 1500, sim.Second),
-		traffic.Poisson(sim.NewRand(6), 3e6, 1500, 0, 2*sim.Second),
+	arr := traffic.MergeSources(
+		traffic.NewTrain(100, 2400*sim.Microsecond, 1500, sim.Second), // 5 Mb/s
+		traffic.NewPoisson(sim.NewRand(6), 3e6, 1500, 0, 2*sim.Second),
 	)
-	cross := traffic.Poisson(sim.NewRand(7), 4e6, 1500, 0, 2*sim.Second)
+	cross := traffic.NewPoisson(sim.NewRand(7), 4e6, 1500, 0, 2*sim.Second)
 	res := runOne(t, Config{
 		Phy:      p,
-		Stations: []StationConfig{{Arrivals: arr}, {Arrivals: cross}},
+		Stations: []StationConfig{{Source: arr}, {Source: cross}},
 		Seed:     8,
 	})
 	for s := range res.Frames {
@@ -135,14 +135,14 @@ func TestDelaysNonNegativeAndBounded(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	mk := func() *Result {
-		arr := traffic.Merge(
-			traffic.TrainAtRate(200, 6e6, 1500, sim.Second),
-			traffic.Poisson(sim.NewRand(9), 2e6, 1000, 0, 3*sim.Second),
+		arr := traffic.MergeSources(
+			traffic.NewTrain(200, 2*sim.Millisecond, 1500, sim.Second), // 6 Mb/s
+			traffic.NewPoisson(sim.NewRand(9), 2e6, 1000, 0, 3*sim.Second),
 		)
-		cross := traffic.Poisson(sim.NewRand(10), 3e6, 1500, 0, 3*sim.Second)
+		cross := traffic.NewPoisson(sim.NewRand(10), 3e6, 1500, 0, 3*sim.Second)
 		res, err := Run(Config{
 			Phy:      b11(),
-			Stations: []StationConfig{{Arrivals: arr}, {Arrivals: cross}},
+			Stations: []StationConfig{{Source: arr}, {Source: cross}},
 			Seed:     42,
 		})
 		if err != nil {
@@ -165,11 +165,11 @@ func TestDeterminism(t *testing.T) {
 
 func TestSeedChangesOutcome(t *testing.T) {
 	mk := func(seed int64) sim.Time {
-		arr := traffic.TrainAtRate(50, 8e6, 1500, sim.Millisecond)
-		cross := traffic.Poisson(sim.NewRand(11), 4e6, 1500, 0, sim.Second)
+		arr := traffic.NewTrain(50, 1500*sim.Microsecond, 1500, sim.Millisecond) // 8 Mb/s
+		cross := traffic.NewPoisson(sim.NewRand(11), 4e6, 1500, 0, sim.Second)
 		res, err := Run(Config{
 			Phy:      b11(),
-			Stations: []StationConfig{{Arrivals: arr}, {Arrivals: cross}},
+			Stations: []StationConfig{{Source: arr}, {Source: cross}},
 			Seed:     seed,
 		})
 		if err != nil {
@@ -187,9 +187,9 @@ func TestSaturationThroughputNearCapacity(t *testing.T) {
 	p := b11()
 	// One station offered far more than the channel carries: delivered
 	// rate should approach MaxThroughput.
-	arr := traffic.CBR(20e6, 1500, 0, 2*sim.Second)
+	arr := traffic.NewCBR(20e6, 1500, 0, 2*sim.Second)
 	res := runOne(t, Config{
-		Phy: p, Stations: []StationConfig{{Arrivals: arr}},
+		Phy: p, Stations: []StationConfig{{Source: arr}},
 		Seed: 12, Horizon: 2 * sim.Second,
 	})
 	got := res.Throughput(0, 0, 2*sim.Second)
@@ -201,10 +201,10 @@ func TestSaturationThroughputNearCapacity(t *testing.T) {
 
 func TestTwoSaturatedStationsShareFairly(t *testing.T) {
 	p := b11()
-	mk := func(seed int64) []traffic.Arrival { return traffic.CBR(20e6, 1500, 0, 4*sim.Second) }
+	mk := func() traffic.Source { return traffic.NewCBR(20e6, 1500, 0, 4*sim.Second) }
 	res := runOne(t, Config{
 		Phy:      p,
-		Stations: []StationConfig{{Arrivals: mk(1)}, {Arrivals: mk(2)}},
+		Stations: []StationConfig{{Source: mk()}, {Source: mk()}},
 		Seed:     13, Horizon: 4 * sim.Second,
 	})
 	t0 := res.Throughput(0, sim.Second, 4*sim.Second)
@@ -230,9 +230,9 @@ func TestCollisionsHappenUnderContention(t *testing.T) {
 	res := runOne(t, Config{
 		Phy: b11(),
 		Stations: []StationConfig{
-			{Arrivals: traffic.CBR(20e6, 1500, 0, sim.Second)},
-			{Arrivals: traffic.CBR(20e6, 1500, 0, sim.Second)},
-			{Arrivals: traffic.CBR(20e6, 1500, 0, sim.Second)},
+			{Source: traffic.NewCBR(20e6, 1500, 0, sim.Second)},
+			{Source: traffic.NewCBR(20e6, 1500, 0, sim.Second)},
+			{Source: traffic.NewCBR(20e6, 1500, 0, sim.Second)},
 		},
 		Seed: 14, Horizon: sim.Second,
 	})
@@ -254,8 +254,8 @@ func TestRetriesRecorded(t *testing.T) {
 	res := runOne(t, Config{
 		Phy: b11(),
 		Stations: []StationConfig{
-			{Arrivals: traffic.CBR(20e6, 1500, 0, sim.Second)},
-			{Arrivals: traffic.CBR(20e6, 1500, 0, sim.Second)},
+			{Source: traffic.NewCBR(20e6, 1500, 0, sim.Second)},
+			{Source: traffic.NewCBR(20e6, 1500, 0, sim.Second)},
 		},
 		Seed: 15, Horizon: sim.Second,
 	})
@@ -276,11 +276,11 @@ func TestRetriesRecorded(t *testing.T) {
 func TestConservation(t *testing.T) {
 	// Everything offered is eventually delivered or dropped when the
 	// horizon is unbounded.
-	arr := traffic.Poisson(sim.NewRand(16), 3e6, 1500, 0, sim.Second)
-	cross := traffic.Poisson(sim.NewRand(17), 3e6, 1000, 0, sim.Second)
+	arr := traffic.Collect(traffic.NewPoisson(sim.NewRand(16), 3e6, 1500, 0, sim.Second))
+	cross := traffic.Collect(traffic.NewPoisson(sim.NewRand(17), 3e6, 1000, 0, sim.Second))
 	res := runOne(t, Config{
 		Phy:      b11(),
-		Stations: []StationConfig{{Arrivals: arr}, {Arrivals: cross}},
+		Stations: []StationConfig{{Source: traffic.FromSchedule(arr)}, {Source: traffic.FromSchedule(cross)}},
 		Seed:     18,
 	})
 	if got, want := res.Stats[0].Delivered+res.Stats[0].Dropped, len(arr); got != want {
@@ -292,9 +292,9 @@ func TestConservation(t *testing.T) {
 }
 
 func TestHorizonStopsRun(t *testing.T) {
-	arr := traffic.CBR(1e6, 1500, 0, 10*sim.Second)
+	arr := traffic.NewCBR(1e6, 1500, 0, 10*sim.Second)
 	res := runOne(t, Config{
-		Phy: b11(), Stations: []StationConfig{{Arrivals: arr}},
+		Phy: b11(), Stations: []StationConfig{{Source: arr}},
 		Seed: 19, Horizon: 100 * sim.Millisecond,
 	})
 	if res.End > 101*sim.Millisecond {
@@ -308,11 +308,11 @@ func TestHorizonStopsRun(t *testing.T) {
 }
 
 func TestProbeFramesExtraction(t *testing.T) {
-	arr := traffic.Merge(
-		traffic.Train(10, 2*sim.Millisecond, 1500, 5*sim.Millisecond),
-		traffic.Poisson(sim.NewRand(20), 1e6, 500, 0, 50*sim.Millisecond),
+	arr := traffic.MergeSources(
+		traffic.NewTrain(10, 2*sim.Millisecond, 1500, 5*sim.Millisecond),
+		traffic.NewPoisson(sim.NewRand(20), 1e6, 500, 0, 50*sim.Millisecond),
 	)
-	res := runOne(t, Config{Phy: b11(), Stations: []StationConfig{{Arrivals: arr}}, Seed: 21})
+	res := runOne(t, Config{Phy: b11(), Stations: []StationConfig{{Source: arr}}, Seed: 21})
 	probes := res.ProbeFrames(0)
 	if len(probes) != 10 {
 		t.Fatalf("got %d probes, want 10", len(probes))
@@ -327,11 +327,11 @@ func TestProbeFramesExtraction(t *testing.T) {
 func TestOnDepartHookAndQueueLen(t *testing.T) {
 	var samples []int
 	var hookTimes []sim.Time
-	arr := traffic.Train(5, sim.Millisecond, 1500, sim.Millisecond)
-	cross := traffic.Poisson(sim.NewRand(22), 5e6, 1500, 0, 20*sim.Millisecond)
+	arr := traffic.NewTrain(5, sim.Millisecond, 1500, sim.Millisecond)
+	cross := traffic.NewPoisson(sim.NewRand(22), 5e6, 1500, 0, 20*sim.Millisecond)
 	cfg := Config{
 		Phy:      b11(),
-		Stations: []StationConfig{{Arrivals: arr}, {Arrivals: cross}},
+		Stations: []StationConfig{{Source: arr}, {Source: cross}},
 		Seed:     23,
 		OnDepart: nil,
 	}
@@ -364,12 +364,12 @@ func TestOnDepartHookAndQueueLen(t *testing.T) {
 func TestAccessDelayGrowsWithContention(t *testing.T) {
 	// Mean probe access delay with a contender should exceed the
 	// uncontended one.
-	probe := traffic.TrainAtRate(300, 3e6, 1500, sim.Second)
 	mean := func(withCross bool, seed int64) float64 {
-		st := []StationConfig{{Arrivals: probe}}
+		probe := traffic.NewTrain(300, 4*sim.Millisecond, 1500, sim.Second) // 3 Mb/s
+		st := []StationConfig{{Source: probe}}
 		if withCross {
 			st = append(st, StationConfig{
-				Arrivals: traffic.Poisson(sim.NewRand(seed), 4e6, 1500, 0, 4*sim.Second)})
+				Source: traffic.NewPoisson(sim.NewRand(seed), 4e6, 1500, 0, 4*sim.Second)})
 		}
 		res, err := Run(Config{Phy: b11(), Stations: st, Seed: seed})
 		if err != nil {
@@ -398,10 +398,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Run(Config{Phy: bad, Stations: []StationConfig{{}}}); err == nil {
 		t.Error("invalid PHY should be rejected")
 	}
-	unordered := []traffic.Arrival{{At: 5, Size: 1}, {At: 1, Size: 1}}
-	if _, err := Run(Config{Phy: b11(), Stations: []StationConfig{{Arrivals: unordered}}}); err == nil {
-		t.Error("unordered arrivals should be rejected")
-	}
 }
 
 func TestEmptyScheduleRuns(t *testing.T) {
@@ -414,7 +410,7 @@ func TestEmptyScheduleRuns(t *testing.T) {
 func TestThroughputWindowEdges(t *testing.T) {
 	res := runOne(t, Config{
 		Phy:      b11(),
-		Stations: []StationConfig{{Arrivals: traffic.CBR(2e6, 1500, 0, sim.Second)}},
+		Stations: []StationConfig{{Source: traffic.NewCBR(2e6, 1500, 0, sim.Second)}},
 		Seed:     25,
 	})
 	if res.Throughput(0, sim.Second, sim.Second) != 0 {
@@ -435,11 +431,11 @@ func TestImmediateAccessAcceleratesFirstPacket(t *testing.T) {
 	exact := 0
 	const reps = 100
 	for rep := 0; rep < reps; rep++ {
-		cross := traffic.Poisson(sim.NewRand(int64(rep)), 2e6, 1500, 0, 2*sim.Second)
-		probe := traffic.TrainAtRate(3, 5e6, 1500, sim.Second)
+		cross := traffic.NewPoisson(sim.NewRand(int64(rep)), 2e6, 1500, 0, 2*sim.Second)
+		probe := traffic.NewTrain(3, 2400*sim.Microsecond, 1500, sim.Second) // 5 Mb/s
 		res, err := Run(Config{
 			Phy:      p,
-			Stations: []StationConfig{{Arrivals: probe}, {Arrivals: cross}},
+			Stations: []StationConfig{{Source: probe}, {Source: cross}},
 			Seed:     int64(1000 + rep),
 		})
 		if err != nil {

@@ -11,8 +11,10 @@ import (
 // randomConfig draws a complete randomized scenario — station count,
 // traffic, PHY profile, RTS threshold, loss model, topology, capture —
 // from r. The space deliberately includes the imperfect-channel knobs
-// so the invariants hold on the cluster engine too.
-func randomConfig(r *sim.Rand, horizon sim.Time) Config {
+// so the invariants hold on the cluster engine too. Each station's
+// arrivals are collected into a schedule, returned alongside the
+// config so a test can count offered frames and replay the scenario.
+func randomConfig(r *sim.Rand, horizon sim.Time) (Config, [][]traffic.Arrival) {
 	profiles := []func() phy.Params{phy.B11, phy.B11Short, phy.G54}
 	n := 1 + r.Intn(4)
 	cfg := Config{
@@ -44,11 +46,13 @@ func randomConfig(r *sim.Rand, horizon sim.Time) Config {
 	sizes := []int{40, 576, 1000, 1500}
 	multi := cfg.Channel.Topology != nil && !cfg.Channel.Topology.IsFullMesh()
 	txop := false
+	scheds := make([][]traffic.Arrival, n)
 	for i := 0; i < n; i++ {
 		rate := (0.5 + r.Float64()*5) * 1e6
+		scheds[i] = traffic.Collect(traffic.NewPoisson(r.Split(uint64(i)+1), rate, sizes[r.Intn(len(sizes))], 0, horizon))
 		sc := StationConfig{
-			Arrivals: traffic.Poisson(r.Split(uint64(i)+1), rate, sizes[r.Intn(len(sizes))], 0, horizon),
-			PowerDB:  r.Float64() * 12,
+			Source:  traffic.FromSchedule(scheds[i]),
+			PowerDB: r.Float64() * 12,
 		}
 		if r.Intn(4) == 0 {
 			override := phy.ErrorModel{FER: r.Float64() * 0.2}
@@ -73,6 +77,16 @@ func randomConfig(r *sim.Rand, horizon sim.Time) Config {
 	}
 	if r.Intn(3) == 0 {
 		cfg.Schedule = randomSchedule(r, n, horizon, txop)
+	}
+	return cfg, scheds
+}
+
+// replay returns cfg with every station fed afresh from its schedule:
+// a Source is single-use, so each run of one scenario needs its own.
+func replay(cfg Config, scheds [][]traffic.Arrival) Config {
+	cfg.Stations = append([]StationConfig(nil), cfg.Stations...)
+	for i := range cfg.Stations {
+		cfg.Stations[i].Source = traffic.FromSchedule(scheds[i])
 	}
 	return cfg
 }
@@ -116,10 +130,10 @@ func randomSchedule(r *sim.Rand, n int, horizon sim.Time, txop bool) []Scheduled
 }
 
 // offered counts the arrivals each station's schedule holds.
-func offered(cfg Config) []int {
-	out := make([]int, len(cfg.Stations))
-	for i, sc := range cfg.Stations {
-		out[i] = len(sc.Arrivals)
+func offered(scheds [][]traffic.Arrival) []int {
+	out := make([]int, len(scheds))
+	for i, sched := range scheds {
+		out[i] = len(sched)
 	}
 	return out
 }
@@ -137,13 +151,13 @@ func TestPropertyInvariants(t *testing.T) {
 	r := sim.NewRand(0xbeef)
 	horizon := sim.FromSeconds(0.25)
 	for trial := 0; trial < trials; trial++ {
-		cfg := randomConfig(r, horizon)
+		cfg, scheds := randomConfig(r, horizon)
 		e, err := New(cfg)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		res := e.Run()
-		want := offered(cfg)
+		want := offered(scheds)
 		for s := range cfg.Stations {
 			st := res.Stats[s]
 			if got := len(res.Frames[s]); got != st.Delivered {
@@ -198,7 +212,7 @@ func TestPropertyHorizonBounds(t *testing.T) {
 	r := sim.NewRand(0xf00d)
 	schedule := sim.FromSeconds(0.5)
 	for trial := 0; trial < trials; trial++ {
-		cfg := randomConfig(r, schedule)
+		cfg, scheds := randomConfig(r, schedule)
 		cfg.Horizon = sim.FromSeconds(0.1)
 		e, err := New(cfg)
 		if err != nil {
@@ -210,7 +224,7 @@ func TestPropertyHorizonBounds(t *testing.T) {
 			// than one bounded exchange; 100ms is orders beyond that.
 			t.Fatalf("trial %d: End %v far beyond horizon %v", trial, res.End, cfg.Horizon)
 		}
-		want := offered(cfg)
+		want := offered(scheds)
 		for s := range cfg.Stations {
 			st := res.Stats[s]
 			accounted := st.Delivered + st.Dropped + e.QueueLen(s)
@@ -234,12 +248,12 @@ func TestPropertyDeterminism(t *testing.T) {
 	r := sim.NewRand(0xdead)
 	horizon := sim.FromSeconds(0.2)
 	for trial := 0; trial < trials; trial++ {
-		cfg := randomConfig(r, horizon)
+		cfg, scheds := randomConfig(r, horizon)
 		a, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Run(cfg)
+		b, err := Run(replay(cfg, scheds))
 		if err != nil {
 			t.Fatal(err)
 		}

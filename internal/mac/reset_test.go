@@ -47,8 +47,8 @@ func TestResetEquivalence(t *testing.T) {
 	r := sim.NewRand(0x5e7)
 	horizon := sim.FromSeconds(0.15)
 	for trial := 0; trial < trials; trial++ {
-		cfgA := randomConfig(r, horizon)
-		cfgB := randomConfig(r, horizon)
+		cfgA, _ := randomConfig(r, horizon)
+		cfgB, schedB := randomConfig(r, horizon)
 		fresh, err := Run(cfgB)
 		if err != nil {
 			t.Fatalf("trial %d: fresh run: %v", trial, err)
@@ -58,7 +58,7 @@ func TestResetEquivalence(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		e.Run()
-		if err := e.Reset(cfgB); err != nil {
+		if err := e.Reset(replay(cfgB, schedB)); err != nil {
 			t.Fatalf("trial %d: reset: %v", trial, err)
 		}
 		compareResults(t, "reused", fresh, e.Run())
@@ -69,18 +69,17 @@ func TestResetEquivalence(t *testing.T) {
 // the batched replication path exercises thousands of times: Reset to
 // the same config, run again, get the identical result, indefinitely.
 func TestResetSameConfigRepeats(t *testing.T) {
-	cfg := hotScenario(11, false)
-	fresh, err := Run(cfg)
+	fresh, err := Run(hotScenario(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(cfg)
+	e, err := New(hotScenario(11))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 4; round++ {
 		if round > 0 {
-			if err := e.Reset(cfg); err != nil {
+			if err := e.Reset(hotScenario(11)); err != nil {
 				t.Fatalf("round %d: %v", round, err)
 			}
 		}
@@ -91,7 +90,7 @@ func TestResetSameConfigRepeats(t *testing.T) {
 // TestResetInvalidConfig asserts a Reset to a broken config surfaces
 // the validation error (the engine is documented unusable afterwards).
 func TestResetInvalidConfig(t *testing.T) {
-	cfg := hotScenario(5, false)
+	cfg := hotScenario(5)
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -105,11 +104,12 @@ func TestResetInvalidConfig(t *testing.T) {
 // TestResetRunAllocBound pins the point of engine reuse: once warmed,
 // a Reset+Run replication must not allocate per frame — the arena,
 // heap, queues, result buffers and scratch all come from the previous
-// run. The budget is a small constant (source wrappers and closure
-// boxing), orders of magnitude below the thousands of frames delivered.
+// run. The budget is a small constant (closure boxing), orders of
+// magnitude below the thousands of frames delivered. Sources are
+// single-use, so each measured Reset gets a config built beforehand
+// (builds); the measurement covers the engine's Reset and Run alone.
 func TestResetRunAllocBound(t *testing.T) {
-	cfg := hotScenario(7, false)
-	e, err := New(cfg)
+	e, err := New(hotScenario(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +121,9 @@ func TestResetRunAllocBound(t *testing.T) {
 	if delivered < 1000 {
 		t.Fatalf("scenario too small to be meaningful: %d delivered", delivered)
 	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if err := e.Reset(cfg); err != nil {
+	next := builds(hotScenario, 7)
+	allocs := testing.AllocsPerRun(allocRuns, func() {
+		if err := e.Reset(next()); err != nil {
 			t.Fatal(err)
 		}
 		e.Run()
@@ -139,7 +140,7 @@ func TestResetRunAllocBound(t *testing.T) {
 // hearing-graph cut, and TestHotPathAllocBound's edge-events input
 // bounds the allocations of a run that hides and re-links a pair.
 func scheduledHotScenario(seed int64) Config {
-	cfg := hotScenario(seed, false)
+	cfg := hotScenario(seed)
 	fer, rate, pow := 0.15, 5.5e6, 6.0
 	cfg.Schedule = []ScheduledEvent{
 		{At: 500 * sim.Millisecond, Target: -1, SetFER: &fer},
@@ -156,35 +157,37 @@ func scheduledHotScenario(seed int64) Config {
 // The schedule includes a hearing-graph cut, so the recycled topology
 // clone is exercised too.
 func TestResetScheduledEquivalence(t *testing.T) {
-	cfg := scheduledHotScenario(23)
-	cfg.Schedule = append(cfg.Schedule,
-		ScheduledEvent{At: 2500 * sim.Millisecond, SetTopologyEdge: &TopologyEdge{A: 0, B: 1, Hears: false}})
-	fresh, err := Run(cfg)
+	build := func() Config {
+		cfg := scheduledHotScenario(23)
+		cfg.Schedule = append(cfg.Schedule,
+			ScheduledEvent{At: 2500 * sim.Millisecond, SetTopologyEdge: &TopologyEdge{A: 0, B: 1, Hears: false}})
+		return cfg
+	}
+	fresh, err := Run(build())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fresh.Stats[0].ChannelErrors+fresh.Stats[1].ChannelErrors == 0 {
 		t.Fatal("schedule fixture inert: no channel errors despite FER event")
 	}
-	e, err := New(cfg)
+	e, err := New(build())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 3; round++ {
 		if round > 0 {
-			if err := e.Reset(cfg); err != nil {
+			if err := e.Reset(build()); err != nil {
 				t.Fatalf("round %d: %v", round, err)
 			}
 		}
 		compareResults(t, "scheduled round", fresh, e.Run())
 	}
 	// And a reset back to a schedule-free config sheds the events.
-	plain := hotScenario(23, false)
-	want, err := Run(plain)
+	want, err := Run(hotScenario(23))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Reset(plain); err != nil {
+	if err := e.Reset(hotScenario(23)); err != nil {
 		t.Fatal(err)
 	}
 	compareResults(t, "schedule shed", want, e.Run())
@@ -194,8 +197,7 @@ func TestResetScheduledEquivalence(t *testing.T) {
 // to scheduled-event configs: the schedule slice and the topology clone
 // must be recycled across Resets, not reallocated per replication.
 func TestResetScheduledAllocBound(t *testing.T) {
-	cfg := scheduledHotScenario(7)
-	e, err := New(cfg)
+	e, err := New(scheduledHotScenario(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,13 +209,33 @@ func TestResetScheduledAllocBound(t *testing.T) {
 	if delivered < 1000 {
 		t.Fatalf("scenario too small to be meaningful: %d delivered", delivered)
 	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if err := e.Reset(cfg); err != nil {
+	next := builds(scheduledHotScenario, 7)
+	allocs := testing.AllocsPerRun(allocRuns, func() {
+		if err := e.Reset(next()); err != nil {
 			t.Fatal(err)
 		}
 		e.Run()
 	})
 	if allocs > 16 {
 		t.Fatalf("%.0f allocations per scheduled reused replication of %d frames, want <= 16", allocs, delivered)
+	}
+}
+
+// allocRuns is the measured run count of the reset alloc bounds.
+const allocRuns = 5
+
+// builds returns a function yielding a fresh build(seed) per call, all
+// built up front: one for testing.AllocsPerRun's warm-up call and one
+// per measured run, so building the single-use sources stays outside
+// the measurement.
+func builds(build func(int64) Config, seed int64) func() Config {
+	cfgs := make([]Config, allocRuns+1)
+	for i := range cfgs {
+		cfgs[i] = build(seed)
+	}
+	next := 0
+	return func() Config {
+		next++
+		return cfgs[next-1]
 	}
 }

@@ -11,9 +11,9 @@ import (
 func TestRTSAddsHandshakeOverhead(t *testing.T) {
 	p := phy.B11()
 	arr := []traffic.Arrival{{At: sim.Millisecond, Size: 1500, Index: -1}}
-	plain := runOne(t, Config{Phy: p, Stations: []StationConfig{{Arrivals: arr}}, Seed: 1})
+	plain := runOne(t, Config{Phy: p, Stations: []StationConfig{{Source: traffic.FromSchedule(arr)}}, Seed: 1})
 	rts := runOne(t, Config{Phy: p, RTSThreshold: 1000,
-		Stations: []StationConfig{{Arrivals: arr}}, Seed: 1})
+		Stations: []StationConfig{{Source: traffic.FromSchedule(arr)}}, Seed: 1})
 	dPlain := plain.Frames[0][0].AccessDelay()
 	dRTS := rts.Frames[0][0].AccessDelay()
 	want := p.RTSTxTime() + p.SIFS + p.CTSTxTime() + p.SIFS
@@ -26,9 +26,9 @@ func TestRTSThresholdSelective(t *testing.T) {
 	p := phy.B11()
 	// A small frame below the threshold must not pay the handshake.
 	arr := []traffic.Arrival{{At: sim.Millisecond, Size: 100, Index: -1}}
-	plain := runOne(t, Config{Phy: p, Stations: []StationConfig{{Arrivals: arr}}, Seed: 2})
+	plain := runOne(t, Config{Phy: p, Stations: []StationConfig{{Source: traffic.FromSchedule(arr)}}, Seed: 2})
 	rts := runOne(t, Config{Phy: p, RTSThreshold: 1000,
-		Stations: []StationConfig{{Arrivals: arr}}, Seed: 2})
+		Stations: []StationConfig{{Source: traffic.FromSchedule(arr)}}, Seed: 2})
 	if plain.Frames[0][0].AccessDelay() != rts.Frames[0][0].AccessDelay() {
 		t.Error("sub-threshold frame paid the RTS handshake")
 	}
@@ -42,8 +42,8 @@ func TestRTSReducesSaturationThroughputAtLowContention(t *testing.T) {
 			Phy:          phy.B11(),
 			RTSThreshold: thresh,
 			Stations: []StationConfig{
-				{Arrivals: traffic.CBR(20e6, 1500, 0, 2*sim.Second)},
-				{Arrivals: traffic.CBR(20e6, 1500, 0, 2*sim.Second)},
+				{Source: traffic.NewCBR(20e6, 1500, 0, 2*sim.Second)},
+				{Source: traffic.NewCBR(20e6, 1500, 0, 2*sim.Second)},
 			},
 			Seed: 3, Horizon: 2 * sim.Second,
 		})
@@ -69,7 +69,7 @@ func TestRTSCollisionCostsOnlyRTS(t *testing.T) {
 		res := runOne(t, Config{
 			Phy:          p,
 			RTSThreshold: thresh,
-			Stations:     []StationConfig{{Arrivals: arr}, {Arrivals: arr}},
+			Stations:     []StationConfig{{Source: traffic.FromSchedule(arr)}, {Source: traffic.FromSchedule(arr)}},
 			Seed:         4,
 		})
 		first := sim.MaxTime
@@ -94,12 +94,12 @@ func TestRTSCollisionCostsOnlyRTS(t *testing.T) {
 }
 
 func TestRTSStatsStillConserve(t *testing.T) {
-	arr := traffic.Poisson(sim.NewRand(5), 3e6, 1500, 0, sim.Second)
-	cross := traffic.Poisson(sim.NewRand(6), 3e6, 1500, 0, sim.Second)
+	arr := traffic.Collect(traffic.NewPoisson(sim.NewRand(5), 3e6, 1500, 0, sim.Second))
+	cross := traffic.Collect(traffic.NewPoisson(sim.NewRand(6), 3e6, 1500, 0, sim.Second))
 	res := runOne(t, Config{
 		Phy:          phy.B11(),
 		RTSThreshold: 500,
-		Stations:     []StationConfig{{Arrivals: arr}, {Arrivals: cross}},
+		Stations:     []StationConfig{{Source: traffic.FromSchedule(arr)}, {Source: traffic.FromSchedule(cross)}},
 		Seed:         7,
 	})
 	if got, want := res.Stats[0].Delivered+res.Stats[0].Dropped, len(arr); got != want {

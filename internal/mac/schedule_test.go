@@ -52,7 +52,7 @@ func TestScheduleValidation(t *testing.T) {
 // rejects topology-edge events combined with a TXOP-bearing access
 // category, mirroring the hidden-topology rejection.
 func TestScheduleTXOPTopologyConflict(t *testing.T) {
-	cfg := hotScenario(3, true)
+	cfg := hotScenario(3)
 	cfg.Stations[0].AC = phy.ACVideo
 	cfg.Schedule = []ScheduledEvent{
 		{At: sim.Second, SetTopologyEdge: &TopologyEdge{A: 0, B: 1, Hears: false}},
@@ -67,12 +67,12 @@ func TestScheduleTXOPTopologyConflict(t *testing.T) {
 // period produces the byte-identical result of an empty schedule — the
 // events are never applied, and checking for them draws nothing.
 func TestScheduleAfterEndIsInert(t *testing.T) {
-	base := hotScenario(21, true)
+	base := hotScenario(21)
 	plain, err := Run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := hotScenario(21, true)
+	cfg := hotScenario(21)
 	cfg.Schedule = []ScheduledEvent{
 		{At: base.Horizon + sim.Second, Target: -1, SetFER: fptr(0.5)},
 	}
@@ -89,12 +89,12 @@ func TestScheduleAfterEndIsInert(t *testing.T) {
 // and the channel degradation only bites afterwards.
 func TestScheduledFERPrefixIdentical(t *testing.T) {
 	const at = sim.Second
-	base := hotScenario(5, true)
+	base := hotScenario(5)
 	plain, err := Run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := hotScenario(5, true)
+	cfg := hotScenario(5)
 	cfg.Schedule = []ScheduledEvent{{At: at, Target: -1, SetFER: fptr(0.4)}}
 	res, err := Run(cfg)
 	if err != nil {
@@ -251,7 +251,7 @@ func TestScheduledPowerEnablesCapture(t *testing.T) {
 // TestScheduledEventsDeterministic asserts a scheduled-event run is a
 // pure function of its config: identical reruns, byte-identical.
 func TestScheduledEventsDeterministic(t *testing.T) {
-	cfg := hotScenario(17, true)
+	cfg := hotScenario(17)
 	cfg.Schedule = []ScheduledEvent{
 		{At: 500 * sim.Millisecond, Target: -1, SetFER: fptr(0.2)},
 		{At: sim.Second, Target: 0, SetDataRate: fptr(5.5e6)},
@@ -261,7 +261,7 @@ func TestScheduledEventsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgB := hotScenario(17, true)
+	cfgB := hotScenario(17)
 	cfgB.Schedule = cfg.Schedule
 	b, err := Run(cfgB)
 	if err != nil {

@@ -76,7 +76,7 @@ func (h FIFOHop) Transit(arrivals []traffic.Arrival, rep int64) ([]traffic.Arriv
 			end = arrivals[len(arrivals)-1].At + 2*sim.Second
 		}
 		r := sim.NewRand(h.Seed).Split(uint64(rep) + 1)
-		for _, c := range traffic.Poisson(r, h.CrossBps, h.CrossSize, 0, end) {
+		for _, c := range traffic.Collect(traffic.NewPoisson(r, h.CrossBps, h.CrossSize, 0, end)) {
 			all = append(all, tagged{c, false})
 		}
 		sort.SliceStable(all, func(i, j int) bool { return all[i].a.At < all[j].a.At })
@@ -235,7 +235,7 @@ func (p Path) MeasureDispersion(n int, rateBps float64, size, reps int, baseSeed
 	for rep := 0; rep < reps; rep++ {
 		r := sim.NewRand(baseSeed).Split(uint64(rep))
 		start := 200*sim.Millisecond + r.ExpTime(20*sim.Millisecond)
-		train := traffic.Train(n, gI, size, start)
+		train := traffic.Collect(traffic.NewTrain(n, gI, size, start))
 		out, err := p.Transit(train, int64(rep))
 		if err != nil {
 			return 0, err

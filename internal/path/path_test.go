@@ -12,7 +12,7 @@ import (
 func TestFIFOHopNoCross(t *testing.T) {
 	h := FIFOHop{CapacityBps: 10e6}
 	// Slow train: departures = arrivals + service time.
-	tr := traffic.Train(5, 10*sim.Millisecond, 1500, sim.Second)
+	tr := traffic.Collect(traffic.NewTrain(5, 10*sim.Millisecond, 1500, sim.Second))
 	out, err := h.Transit(tr, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +36,7 @@ func TestFIFOHopSaturationSpacing(t *testing.T) {
 	// Back-to-back packets leave spaced by the service time: the
 	// classic capacity-revealing dispersion.
 	h := FIFOHop{CapacityBps: 10e6}
-	tr := traffic.Train(10, 0, 1500, sim.Second)
+	tr := traffic.Collect(traffic.NewTrain(10, 0, 1500, sim.Second))
 	out, err := h.Transit(tr, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +52,7 @@ func TestFIFOHopSaturationSpacing(t *testing.T) {
 func TestFIFOHopCrossDelaysButStaysLocal(t *testing.T) {
 	quiet := FIFOHop{CapacityBps: 10e6, Seed: 1}
 	loaded := FIFOHop{CapacityBps: 10e6, CrossBps: 6e6, CrossSize: 1500, Seed: 1}
-	tr := traffic.Train(20, 2*sim.Millisecond, 1500, sim.Second)
+	tr := traffic.Collect(traffic.NewTrain(20, 2*sim.Millisecond, 1500, sim.Second))
 	a, err := quiet.Transit(tr, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestFIFOHopErrors(t *testing.T) {
 
 func TestWLANHopTransit(t *testing.T) {
 	h := WLANHop{Seed: 2}
-	tr := traffic.Train(10, 2*sim.Millisecond, 1500, sim.Second)
+	tr := traffic.Collect(traffic.NewTrain(10, 2*sim.Millisecond, 1500, sim.Second))
 	out, err := h.Transit(tr, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestWLANHopContention(t *testing.T) {
 	quiet := WLANHop{Seed: 3}
 	busy := WLANHop{Seed: 3}
 	busy.Contenders = append(busy.Contenders, WLANContender{RateBps: 4e6, Size: 1500})
-	tr := traffic.Train(20, sim.Millisecond, 1500, sim.Second)
+	tr := traffic.Collect(traffic.NewTrain(20, sim.Millisecond, 1500, sim.Second))
 	a, err := quiet.Transit(tr, 0)
 	if err != nil {
 		t.Fatal(err)

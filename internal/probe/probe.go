@@ -65,8 +65,7 @@ type Flow struct {
 
 // Source realises the flow over [0, end) as a lazy pull-based
 // generator: arrivals are drawn only as the simulation consumes them,
-// so a replication that stops early never generates the tail. The draw
-// order is identical to the eager schedules the engine used to take.
+// so a replication that stops early never generates the tail.
 func (f Flow) Source(r *sim.Rand, end sim.Time) traffic.Source {
 	if f.OnMean > 0 && f.OffMean > 0 {
 		duty := float64(f.OnMean) / float64(f.OnMean+f.OffMean)
@@ -242,17 +241,6 @@ func (l Link) Validate() error {
 	return nil
 }
 
-// channel assembles the propagation model the link describes. The
-// zero-value knobs yield the zero mac.Channel: the perfect single
-// collision domain, byte-identical to the pre-extension engine.
-func (l Link) channel() mac.Channel {
-	return mac.Channel{
-		Topology:           l.Topology,
-		Loss:               l.Loss,
-		CaptureThresholdDB: l.CaptureDB,
-	}
-}
-
 // TrainSample is the outcome of one probing-train replication.
 type TrainSample struct {
 	// Delivered probe frames' departure times, indexed by train index;
@@ -301,7 +289,7 @@ type TrainStats struct {
 // starts WarmUp plus an exponential offset after time zero — the
 // paper's "Poisson spacing between probing sequences" that guarantees
 // the trains sample the cross-traffic process in random phase.
-func (l Link) scenario(n int, gI sim.Time, rep int64) (mac.Config, sim.Time) {
+func (l Link) scenario(n int, gI sim.Time, rep int64) mac.Config {
 	r := sim.NewRand(l.Seed).Split(uint64(rep) + 0x5eed)
 	start := l.WarmUp + r.ExpTime(50*sim.Millisecond)
 
@@ -309,40 +297,46 @@ func (l Link) scenario(n int, gI sim.Time, rep int64) (mac.Config, sim.Time) {
 	// A probe packet's service rarely exceeds ~20ms even with several
 	// saturated contenders; 40ms/packet is a generous envelope.
 	drain := sim.Time(n)*gI + sim.Time(n)*40*sim.Millisecond + 200*sim.Millisecond
-	end := start + drain
-
-	station0 := []traffic.Source{traffic.NewTrain(n, gI, l.ProbeSize, start)}
-	for fi, f := range l.FIFOCross {
-		station0 = append(station0,
-			f.Source(r.Split(uint64(fi)+100), end))
-	}
-	cfg := mac.Config{
-		Phy:          l.Phy,
-		Seed:         l.Seed ^ (rep+1)*0x9e3779b9,
-		Channel:      l.channel(),
-		RTSThreshold: l.RTSThreshold,
-		Schedule:     l.Schedule,
-	}
-	cfg.Stations = l.stations(station0, r, end)
-	return cfg, end
+	return l.EngineConfig(traffic.NewTrain(n, gI, l.ProbeSize, start), r,
+		l.Seed^(rep+1)*0x9e3779b9, start+drain)
 }
 
-// stations assembles the scenario's station list — the probing station
-// (probe and FIFO flows merged onto one FIFO queue) plus one station
-// per contender — applying the link's power, access-category and
-// data-rate knobs. Both the train and the steady-state scenarios build
-// their cells here, so a new Link or Flow knob cannot silently apply
-// to one measurement and not the other.
-func (l Link) stations(station0 []traffic.Source, r *sim.Rand, end sim.Time) []mac.StationConfig {
-	out := []mac.StationConfig{{
-		Name:     "probe",
-		Source:   traffic.MergeSources(station0...),
-		PowerDB:  l.ProbePowerDB,
-		AC:       l.ProbeAC,
-		DataRate: l.ProbeDataRateBps,
-	}}
+// EngineConfig assembles the engine configuration of one run over the
+// link, up to the horizon end: station 0 is the probing station, its
+// probe flow merged with the FIFO cross flows onto one FIFO queue
+// (Fig. 3), and stations 1.. are the contenders, named "contender-i".
+// FIFO flow i draws from r.Split(i+100) and contender i from
+// r.Split(i+200); seed is the engine's own seed. The link's channel,
+// schedule, RTS threshold and per-station power, access-category and
+// data-rate knobs all apply here, so every measurement built on a Link
+// — trains, steady state and spec-driven runs — carries the same cell.
+// l must already carry its defaults (WithDefaults).
+func (l Link) EngineConfig(probeSrc traffic.Source, r *sim.Rand, seed int64, end sim.Time) mac.Config {
+	station0 := []traffic.Source{probeSrc}
+	for fi, f := range l.FIFOCross {
+		station0 = append(station0, f.Source(r.Split(uint64(fi)+100), end))
+	}
+	cfg := mac.Config{
+		Phy:     l.Phy,
+		Seed:    seed,
+		Horizon: end,
+		Channel: mac.Channel{
+			Topology:           l.Topology,
+			Loss:               l.Loss,
+			CaptureThresholdDB: l.CaptureDB,
+		},
+		RTSThreshold: l.RTSThreshold,
+		Schedule:     l.Schedule,
+		Stations: []mac.StationConfig{{
+			Name:     "probe",
+			Source:   traffic.MergeSources(station0...),
+			PowerDB:  l.ProbePowerDB,
+			AC:       l.ProbeAC,
+			DataRate: l.ProbeDataRateBps,
+		}},
+	}
 	for ci, f := range l.Contenders {
-		out = append(out, mac.StationConfig{
+		cfg.Stations = append(cfg.Stations, mac.StationConfig{
 			Name:     fmt.Sprintf("contender-%d", ci),
 			Source:   f.Source(r.Split(uint64(ci)+200), end),
 			PowerDB:  f.PowerDB,
@@ -350,7 +344,7 @@ func (l Link) stations(station0 []traffic.Source, r *sim.Rand, end sim.Time) []m
 			DataRate: f.DataRateBps,
 		})
 	}
-	return out
+	return cfg
 }
 
 // TrainMeter is a per-worker measurement context: it owns one
@@ -463,7 +457,7 @@ func MeasureTrain(l Link, n int, rateBps float64, reps int) (*TrainStats, error)
 // probes is flagged Truncated.
 func (p *TrainPlan) MeasureOne(m *TrainMeter, rep int) (TrainSample, error) {
 	l, n := &p.link, p.n
-	cfg, end := l.scenario(n, p.gI, int64(rep))
+	cfg := l.scenario(n, p.gI, int64(rep))
 	sample := TrainSample{
 		Departures:   make([]sim.Time, n),
 		AccessDelays: make([]float64, n),
@@ -495,7 +489,6 @@ func (p *TrainPlan) MeasureOne(m *TrainMeter, rep int) (TrainSample, error) {
 	}
 	cfg.StopWhen = func() bool { return resolved >= n }
 	cfg.RecordFrames = func(station int) bool { return station == 0 }
-	cfg.Horizon = end
 	res, err := m.run(cfg)
 	if err != nil {
 		return TrainSample{}, err
@@ -685,24 +678,10 @@ func MeasureSteadyState(l Link, rateBps float64, duration sim.Time) (*SteadyStat
 	if duration <= 0 {
 		return nil, fmt.Errorf("probe: non-positive duration %v", duration)
 	}
-	r := sim.NewRand(l.Seed).Split(0xabcd)
 	start := l.WarmUp
 	end := start + duration
-
-	station0 := []traffic.Source{traffic.Marked(traffic.NewCBR(rateBps, l.ProbeSize, start, end))}
-	for fi, f := range l.FIFOCross {
-		station0 = append(station0,
-			f.Source(r.Split(uint64(fi)+100), end))
-	}
-	cfg := mac.Config{
-		Phy:          l.Phy,
-		Seed:         l.Seed,
-		Horizon:      end,
-		Channel:      l.channel(),
-		RTSThreshold: l.RTSThreshold,
-		Schedule:     l.Schedule,
-	}
-	cfg.Stations = l.stations(station0, r, end)
+	probeSrc := traffic.Marked(traffic.NewCBR(rateBps, l.ProbeSize, start, end))
+	cfg := l.EngineConfig(probeSrc, sim.NewRand(l.Seed).Split(0xabcd), l.Seed, end)
 	res, err := mac.Run(cfg)
 	if err != nil {
 		return nil, err

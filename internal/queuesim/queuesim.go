@@ -41,7 +41,8 @@ func (d Departure) Sojourn() sim.Time { return d.Depart - d.Arrive }
 
 // Simulate runs the FIFO single-server sample path. Jobs must be sorted
 // by arrival time; equal arrivals are served in input order (the order
-// probe and FIFO cross-traffic were merged, matching traffic.Merge).
+// probe and FIFO cross-traffic were merged, as traffic.MergeSources
+// keeps ties).
 func Simulate(jobs []Job) ([]Departure, error) {
 	out := make([]Departure, len(jobs))
 	var free sim.Time // instant the server becomes free

@@ -103,6 +103,13 @@ func phyFor(name string) (phy.Params, error) {
 	return phy.Params{}, errAt("phy", "unknown profile %q (b11|b11short|g54|a54)", name)
 }
 
+// gapUnderNanosecond reports whether size-byte packets at rateBps would
+// arrive less than 1 ns apart: the traffic generators refuse such a
+// rate, since every arrival would land on one instant.
+func gapUnderNanosecond(rateBps float64, size int) bool {
+	return sim.FromSeconds(float64(size*8)/rateBps) < 1
+}
+
 // compileFlow turns one FlowSpec into a probe.Flow.
 func compileFlow(f FlowSpec, path string) (probe.Flow, error) {
 	out := probe.Flow{}
@@ -130,6 +137,15 @@ func compileFlow(f FlowSpec, path string) (probe.Flow, error) {
 		out.OffMean = sim.FromSeconds(f.OffSeconds)
 	default:
 		return out, errAt(path+".kind", "unknown traffic kind %q (poisson|onoff)", f.Kind)
+	}
+	// An on/off flow sends its bursts at the peak rate that preserves
+	// the mean, as probe.Flow.Source does.
+	peak := out.RateBps
+	if out.OnMean > 0 {
+		peak *= float64(out.OnMean+out.OffMean) / float64(out.OnMean)
+	}
+	if gapUnderNanosecond(peak, out.Size) {
+		return out, errAt(path+".rate_mbps", "rate %g Mb/s spaces %d-byte packets under 1 ns apart", f.RateMbps, out.Size)
 	}
 	return out, nil
 }
@@ -225,6 +241,9 @@ func compileProbing(p ProbingSpec, probeSize int) (Probing, error) {
 		}
 		if p.RateMbps <= 0 {
 			return out, errAt("probing.rate_mbps", "a steady plan needs a positive rate, got %g", p.RateMbps)
+		}
+		if gapUnderNanosecond(p.RateMbps*1e6, probeSize) {
+			return out, errAt("probing.rate_mbps", "rate %g Mb/s spaces %d-byte probes under 1 ns apart", p.RateMbps, probeSize)
 		}
 		out.RateBps = p.RateMbps * 1e6
 		out.DurationSeconds = p.DurationSeconds
@@ -498,13 +517,13 @@ func (s *Spec) Compile() (*Compiled, error) {
 // MACConfig assembles a general-purpose engine configuration carrying
 // the compiled cell over [0, horizon): station 0 is the probing
 // station (its probing plan merged with the FIFO cross flows on one
-// transmission queue), stations 1.. the contenders. A train plan
-// injects one train starting at the warm-up mark; a steady plan offers
-// constant-rate probing for the whole horizon past warm-up. All
-// traffic randomness derives from stream, so replications handing in
-// root.Child(rep) are independent and order-free. This is the
-// cmd/dcfsim path; the measurement drivers go through probe.Link
-// directly.
+// transmission queue), stations 1.. the contenders, named after the
+// spec. A train plan injects one train starting at the warm-up mark; a
+// steady plan offers constant-rate probing for the whole horizon past
+// warm-up. All traffic randomness derives from stream, so replications
+// handing in root.Child(rep) are independent and order-free. This is
+// the cmd/dcfsim path; the cell itself is assembled by
+// probe.Link.EngineConfig, exactly as for the measurement drivers.
 func (c *Compiled) MACConfig(stream sim.Stream, horizon sim.Time) (mac.Config, error) {
 	if horizon <= 0 {
 		return mac.Config{}, fmt.Errorf("scenario: non-positive horizon %v", horizon)
@@ -526,41 +545,9 @@ func (c *Compiled) MACConfig(stream sim.Stream, horizon sim.Time) (mac.Config, e
 	default:
 		return mac.Config{}, fmt.Errorf("scenario: unknown probing plan %q", c.Probing.Plan)
 	}
-	// Substream discipline mirrors probe.Link.scenario: one generator
-	// per replication, split per flow with the same labels, so the two
-	// paths stay draw-order comparable.
-	r := stream.Rand()
-	station0 := []traffic.Source{probeSrc}
-	for fi, f := range l.FIFOCross {
-		station0 = append(station0, f.Source(r.Split(uint64(fi)+100), horizon))
-	}
-	cfg := mac.Config{
-		Phy:          l.Phy,
-		Seed:         stream.Child(0).Seed(),
-		Horizon:      horizon,
-		RTSThreshold: l.RTSThreshold,
-		Schedule:     l.Schedule,
-		Channel: mac.Channel{
-			Topology:           l.Topology,
-			Loss:               l.Loss,
-			CaptureThresholdDB: l.CaptureDB,
-		},
-	}
-	cfg.Stations = []mac.StationConfig{{
-		Name:     c.StationNames[0],
-		Source:   traffic.MergeSources(station0...),
-		PowerDB:  l.ProbePowerDB,
-		AC:       l.ProbeAC,
-		DataRate: l.ProbeDataRateBps,
-	}}
-	for ci, f := range l.Contenders {
-		cfg.Stations = append(cfg.Stations, mac.StationConfig{
-			Name:     c.StationNames[ci+1],
-			Source:   f.Source(r.Split(uint64(ci)+200), horizon),
-			PowerDB:  f.PowerDB,
-			AC:       f.AC,
-			DataRate: f.DataRateBps,
-		})
+	cfg := l.EngineConfig(probeSrc, stream.Rand(), stream.Child(0).Seed(), horizon)
+	for i := range cfg.Stations {
+		cfg.Stations[i].Name = c.StationNames[i]
 	}
 	return cfg, nil
 }

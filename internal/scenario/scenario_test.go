@@ -166,6 +166,26 @@ func TestSemanticErrors(t *testing.T) {
 		"stations": [{"traffic": {"rate_mbps": -1}}],
 		"probing": {"plan": "train", "packets": 10}
 	}`, "stations[0].traffic.rate_mbps")
+	// Rates whose packet spacing rounds below 1 ns would stack every
+	// arrival on one instant; the generators refuse them, so the
+	// compiler names the field first.
+	wantErr(t, `{
+		"name": "t",
+		"stations": [{"traffic": {"rate_mbps": 1e9}}],
+		"probing": {"plan": "train", "packets": 10}
+	}`, "stations[0].traffic.rate_mbps: rate 1e+09 Mb/s")
+	wantErr(t, `{
+		"name": "t",
+		"fifo_cross": [{"rate_mbps": 1e9, "size_bytes": 40}],
+		"probing": {"plan": "train", "packets": 10}
+	}`, "fifo_cross[0].rate_mbps")
+	wantErr(t, `{
+		"name": "t",
+		"stations": [{"traffic": {"kind": "onoff", "rate_mbps": 1e5, "size_bytes": 40,
+			"on_seconds": 0.001, "off_seconds": 1}}],
+		"probing": {"plan": "train", "packets": 10}
+	}`, "stations[0].traffic.rate_mbps") // 3.2 ns mean gap, bursts at 1000x
+	wantErr(t, `{"name": "t", "probing": {"plan": "steady", "rate_mbps": 1e9}}`, "probing.rate_mbps: rate 1e+09 Mb/s")
 	wantErr(t, `{
 		"name": "t",
 		"stations": [{"traffic": {"kind": "onoff", "rate_mbps": 1, "on_seconds": 0.1}}],

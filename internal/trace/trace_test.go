@@ -104,15 +104,15 @@ func TestTraceFromSimulation(t *testing.T) {
 	w := NewWriter(&buf)
 	hook, hookErr := w.Hook()
 
-	cross := traffic.Poisson(sim.NewRand(1), 3e6, 1500, 0, sim.Second)
-	probeTr := traffic.TrainAtRate(20, 5e6, 1500, 200*sim.Millisecond)
+	cross := traffic.NewPoisson(sim.NewRand(1), 3e6, 1500, 0, sim.Second)
+	probeTr := traffic.NewTrain(20, 2400*sim.Microsecond, 1500, 200*sim.Millisecond) // 5 Mb/s
 	cfg := mac.Config{
 		Phy:     phy.B11(),
 		Seed:    9,
 		OnEvent: hook,
 		Stations: []mac.StationConfig{
-			{Arrivals: probeTr},
-			{Arrivals: cross},
+			{Source: probeTr},
+			{Source: cross},
 		},
 	}
 	res, err := mac.Run(cfg)
@@ -169,7 +169,7 @@ func TestSummarizeCollisionsAndDrops(t *testing.T) {
 		Phy:      p,
 		Seed:     2,
 		OnEvent:  hook,
-		Stations: []mac.StationConfig{{Arrivals: arr}, {Arrivals: arr}},
+		Stations: []mac.StationConfig{{Source: traffic.FromSchedule(arr)}, {Source: traffic.FromSchedule(arr)}},
 	})
 	if err != nil {
 		t.Fatal(err)

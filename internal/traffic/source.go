@@ -6,30 +6,29 @@ import (
 	"csmabw/internal/sim"
 )
 
-// Source is a pull-based arrival generator: the lazy counterpart of the
-// materialized []Arrival schedules. The MAC engine pulls arrivals one at
-// a time as simulated time advances, so a replication that stops early
-// (for example once its probing train has drained) never pays for the
-// tail of a schedule it will not consume — neither the memory for the
-// slice nor the RNG draws that would fill it.
+// Source is a pull-based arrival generator, the only way traffic reaches
+// the MAC engine. The engine pulls arrivals one at a time as simulated
+// time advances, so a replication that stops early (for example once its
+// probing train has drained) never pays for the tail of a schedule it
+// will not consume — neither the memory nor the RNG draws that would
+// fill it.
 //
 // A Source must yield arrivals in non-decreasing time order with
 // positive sizes; the engine enforces this as it pulls. Sources are
 // single-use and not safe for concurrent use: each simulation run owns
-// its sources exclusively, exactly as it owns its RNG streams.
-//
-// Determinism contract: every generator below draws from its RNG in
-// exactly the order the eager function of the same name does, so a lazy
-// source produces the identical arrival sequence (a prefix of it, when
-// the run stops early) for the same generator state.
+// its sources exclusively, exactly as it owns its RNG streams. A
+// generator draws from its RNG only when an arrival is pulled, so its
+// sequence is a pure function of the generator state, and a run that
+// stops early sees a prefix of it.
 type Source interface {
 	// Next returns the next arrival, or ok == false when the process is
 	// exhausted.
 	Next() (a Arrival, ok bool)
 }
 
-// FromSchedule wraps a materialized schedule as a Source. The slice is
-// not copied; callers must not mutate it while the source is live.
+// FromSchedule wraps a materialized schedule — a recorded trace, or the
+// departures of an upstream hop — as a Source. The slice is not copied;
+// callers must not mutate it while the source is live.
 func FromSchedule(sched []Arrival) Source {
 	return &sliceSource{sched: sched}
 }
@@ -49,9 +48,8 @@ func (s *sliceSource) Next() (Arrival, bool) {
 	return a, true
 }
 
-// Collect drains a source into a slice — the bridge back to the eager
-// representation, used by tests and by callers that genuinely need the
-// whole schedule.
+// Collect drains a source into a slice, for tests and for callers that
+// genuinely need the whole schedule.
 func Collect(src Source) []Arrival {
 	var out []Arrival
 	for {
@@ -63,9 +61,10 @@ func Collect(src Source) []Arrival {
 	}
 }
 
-// NewPoisson is the lazy form of Poisson: a Poisson arrival process of
-// fixed-size packets at rateBps over [start, end), drawing each
-// exponential gap from r only when the next arrival is pulled.
+// NewPoisson is a Poisson arrival process of fixed-size packets at the
+// average rate rateBps (bit/s) over (start, end), drawing each
+// exponential gap from r only when the next arrival is pulled. This is
+// the paper's cross-traffic, which "follows a Poisson distribution".
 func NewPoisson(r *sim.Rand, rateBps float64, size int, start, end sim.Time) Source {
 	return &poissonSource{r: r, mean: gapFor(rateBps, size), size: size, t: start, end: end}
 }
@@ -87,8 +86,8 @@ func (p *poissonSource) Next() (Arrival, bool) {
 	return Arrival{At: p.t, Size: p.size, Index: -1}, true
 }
 
-// NewCBR is the lazy form of CBR: constant-bit-rate fixed-size packets
-// over [start, end).
+// NewCBR is a constant-bit-rate process of fixed-size packets at
+// rateBps (bit/s) over [start, end), the first packet at start.
 func NewCBR(rateBps float64, size int, start, end sim.Time) Source {
 	return &cbrSource{gap: gapFor(rateBps, size), size: size, t: start, end: end}
 }
@@ -110,8 +109,11 @@ func (c *cbrSource) Next() (Arrival, bool) {
 	return a, true
 }
 
-// NewTrain is the lazy form of Train: n probe packets with input gap gI
-// starting at start, indexed 0..n-1.
+// NewTrain is a periodic probing train: n packets of size bytes with a
+// constant input gap gI, the first at start, marked as probes and
+// indexed 0..n-1. This is the probing sequence of Section 5.1.2 of the
+// paper; gI = 0 sends the packets back to back, the packet pair of
+// Section 7.3 when n = 2.
 func NewTrain(n int, gI sim.Time, size int, start sim.Time) Source {
 	if n <= 0 {
 		panic(fmt.Sprintf("traffic: train length %d must be positive", n))
@@ -140,10 +142,13 @@ func (t *trainSource) Next() (Arrival, bool) {
 	return a, true
 }
 
-// NewOnOff is the lazy form of OnOff: exponential ON bursts at peakBps
-// separated by exponential OFF periods over [start, end), drawing the
-// burst and silence lengths from r in the same order the eager
-// generator does.
+// NewOnOff is a bursty on/off process over [start, end): exponential ON
+// periods (mean onMean) during which packets arrive at constant peakBps
+// spacing, separated by exponential OFF periods (mean offMean) with no
+// arrivals. The long-run average rate is peakBps*onMean/(onMean+offMean).
+// Section 6.3 of the paper predicts that burstier FIFO cross-traffic
+// loosens the dispersion bounds and raises measurement variability;
+// this generator provides the knob to test that.
 func NewOnOff(r *sim.Rand, peakBps float64, size int, onMean, offMean, start, end sim.Time) Source {
 	if onMean <= 0 || offMean < 0 {
 		panic(fmt.Sprintf("traffic: on/off means %v/%v", onMean, offMean))
@@ -191,7 +196,9 @@ func (s *onOffSource) Next() (Arrival, bool) {
 }
 
 // Marked wraps a source so every arrival is marked as part of the
-// probing flow and indexed sequentially — the lazy form of MarkProbe.
+// probing flow and indexed sequentially. It turns a CBR (or any other)
+// flow into a long probing flow, as used by the steady-state
+// rate-response measurements.
 func Marked(src Source) Source {
 	return &markedSource{src: src}
 }
@@ -213,11 +220,11 @@ func (m *markedSource) Next() (Arrival, bool) {
 	return a, true
 }
 
-// MergeSources merges multiple time-ordered sources into one, the lazy
-// form of Merge. Ties keep the order in which the sources were passed
-// (source 0 before source 1, ...), matching Merge's stable sort, so a
-// probe packet scheduled at the same instant as a cross packet keeps
-// its FIFO position.
+// MergeSources merges multiple time-ordered sources into one. Ties keep
+// the order in which the sources were passed (source 0 before source
+// 1, ...), so a probe packet scheduled at the same instant as a cross
+// packet keeps its FIFO position. Merging is how FIFO cross-traffic and
+// probe traffic come to share one transmission queue (Fig. 3).
 func MergeSources(srcs ...Source) Source {
 	if len(srcs) == 1 {
 		return srcs[0]

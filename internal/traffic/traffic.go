@@ -1,13 +1,14 @@
 // Package traffic generates the arrival processes used by the paper's
-// experiments: Poisson cross-traffic (the paper's cross-traffic model),
-// constant-bit-rate flows, and the periodic probing trains used for
-// dispersion measurements. It also provides the Erlang offered-load
-// conversions used by the transient-duration study (Fig. 10).
+// experiments as lazy Sources: Poisson cross-traffic (the paper's
+// cross-traffic model), constant-bit-rate and bursty on/off flows, and
+// the periodic probing trains used for dispersion measurements. It
+// also provides the Erlang offered-load conversions used by the
+// transient-duration study (Fig. 10).
 package traffic
 
 import (
 	"fmt"
-	"sort"
+	"math"
 
 	"csmabw/internal/phy"
 	"csmabw/internal/sim"
@@ -27,132 +28,21 @@ type Arrival struct {
 }
 
 // gapFor returns the mean inter-arrival time that produces rateBps with
-// packets of size bytes.
+// packets of size bytes. It panics unless the rate is positive and
+// finite and the gap is at least one nanosecond: a zero gap would emit
+// every arrival at one instant, forever.
 func gapFor(rateBps float64, size int) sim.Time {
-	if rateBps <= 0 {
-		panic(fmt.Sprintf("traffic: non-positive rate %g", rateBps))
+	if !(rateBps > 0) || math.IsInf(rateBps, 1) {
+		panic(fmt.Sprintf("traffic: rate %g is not positive and finite", rateBps))
 	}
 	if size <= 0 {
 		panic(fmt.Sprintf("traffic: non-positive packet size %d", size))
 	}
-	return sim.FromSeconds(float64(size*8) / rateBps)
-}
-
-// Poisson generates a Poisson arrival process of fixed-size packets at
-// the given average rate (bit/s) over [start, end). This mirrors the
-// paper's cross-traffic, which "follows a Poisson distribution".
-func Poisson(r *sim.Rand, rateBps float64, size int, start, end sim.Time) []Arrival {
-	mean := gapFor(rateBps, size)
-	var out []Arrival
-	t := start + r.ExpTime(mean)
-	for t < end {
-		out = append(out, Arrival{At: t, Size: size, Index: -1})
-		t += r.ExpTime(mean)
+	gap := sim.FromSeconds(float64(size*8) / rateBps)
+	if gap < 1 {
+		panic(fmt.Sprintf("traffic: rate %g b/s with %d-byte packets gives a gap under 1ns", rateBps, size))
 	}
-	return out
-}
-
-// CBR generates a constant-bit-rate process of fixed-size packets at the
-// given rate (bit/s) over [start, end).
-func CBR(rateBps float64, size int, start, end sim.Time) []Arrival {
-	gap := gapFor(rateBps, size)
-	var out []Arrival
-	for t := start; t < end; t += gap {
-		out = append(out, Arrival{At: t, Size: size, Index: -1})
-	}
-	return out
-}
-
-// Train generates a periodic probing train: n packets of size bytes with
-// a constant input gap gI, the first packet at start. Packets are marked
-// as probes and indexed 0..n-1. This is the probing sequence of
-// Section 5.1.2 of the paper.
-func Train(n int, gI sim.Time, size int, start sim.Time) []Arrival {
-	if n <= 0 {
-		panic(fmt.Sprintf("traffic: train length %d must be positive", n))
-	}
-	if gI < 0 {
-		panic(fmt.Sprintf("traffic: negative input gap %v", gI))
-	}
-	out := make([]Arrival, n)
-	for i := range out {
-		out[i] = Arrival{At: start + sim.Time(i)*gI, Size: size, Probe: true, Index: i}
-	}
-	return out
-}
-
-// TrainAtRate generates a probing train whose input gap corresponds to
-// probing rate rateBps: gI = L*8/ri (Section 5.3: L/gI approximates ri).
-func TrainAtRate(n int, rateBps float64, size int, start sim.Time) []Arrival {
-	return Train(n, gapFor(rateBps, size), size, start)
-}
-
-// OnOff generates a bursty on/off process: exponentially distributed ON
-// periods (mean onMean) during which packets arrive back-to-back-ish at
-// peakBps, separated by exponential OFF periods (mean offMean) with no
-// arrivals. The long-run average rate is peakBps * onMean/(onMean+offMean).
-// Section 6.3 of the paper predicts that burstier FIFO cross-traffic
-// loosens the dispersion bounds and raises measurement variability;
-// this generator provides the knob to test that.
-func OnOff(r *sim.Rand, peakBps float64, size int, onMean, offMean, start, end sim.Time) []Arrival {
-	if onMean <= 0 || offMean < 0 {
-		panic(fmt.Sprintf("traffic: on/off means %v/%v", onMean, offMean))
-	}
-	gap := gapFor(peakBps, size)
-	var out []Arrival
-	t := start
-	for t < end {
-		onEnd := t + r.ExpTime(onMean)
-		if onEnd > end {
-			onEnd = end
-		}
-		for ; t < onEnd; t += gap {
-			out = append(out, Arrival{At: t, Size: size, Index: -1})
-		}
-		if offMean > 0 {
-			t += r.ExpTime(offMean)
-		}
-	}
-	return out
-}
-
-// MarkProbe returns a copy of sched with every packet marked as part of
-// the probing flow and indexed sequentially. It turns a CBR (or any
-// other) schedule into a long probing flow, as used by the steady-state
-// rate-response measurements.
-func MarkProbe(sched []Arrival) []Arrival {
-	out := make([]Arrival, len(sched))
-	for i, a := range sched {
-		a.Probe = true
-		a.Index = i
-		out[i] = a
-	}
-	return out
-}
-
-// PacketPair is a two-packet train sent back to back (zero input gap),
-// the paper's model of a packet pair as a probe of "infinite rate"
-// (Section 7.3).
-func PacketPair(size int, start sim.Time) []Arrival {
-	return Train(2, 0, size, start)
-}
-
-// Merge combines multiple arrival schedules into one, sorted by time.
-// Equal timestamps keep their relative order (stable), so a probe packet
-// scheduled at the same instant as a cross packet retains the order in
-// which the schedules were passed. Merging is how FIFO cross-traffic and
-// probe traffic come to share one transmission queue (Fig. 3).
-func Merge(schedules ...[]Arrival) []Arrival {
-	total := 0
-	for _, s := range schedules {
-		total += len(s)
-	}
-	out := make([]Arrival, 0, total)
-	for _, s := range schedules {
-		out = append(out, s...)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out
+	return gap
 }
 
 // Validate checks that a schedule is time-ordered with positive sizes;
@@ -200,14 +90,4 @@ func RateForLoad(p phy.Params, erlangs float64, size int) float64 {
 	cycle := p.DIFS + sim.Time(p.CWMin/2)*p.Slot + p.SuccessExchangeTime(size)
 	lambda := erlangs / cycle.Seconds()
 	return lambda * float64(size*8)
-}
-
-// Bits returns the total payload bits in a schedule; useful for
-// computing offered and carried rates in tests and experiments.
-func Bits(sched []Arrival) int64 {
-	var b int64
-	for _, a := range sched {
-		b += int64(a.Size) * 8
-	}
-	return b
 }

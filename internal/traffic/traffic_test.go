@@ -9,14 +9,23 @@ import (
 	"csmabw/internal/sim"
 )
 
+// bits is the total payload of a schedule in bits.
+func bits(sched []Arrival) int64 {
+	var b int64
+	for _, a := range sched {
+		b += int64(a.Size) * 8
+	}
+	return b
+}
+
 func TestPoissonRate(t *testing.T) {
 	r := sim.NewRand(1)
 	const rate, size = 4e6, 1500
-	sched := Poisson(r, rate, size, 0, 10*sim.Second)
+	sched := Collect(NewPoisson(r, rate, size, 0, 10*sim.Second))
 	if err := Validate(sched); err != nil {
 		t.Fatal(err)
 	}
-	got := float64(Bits(sched)) / 10
+	got := float64(bits(sched)) / 10
 	if math.Abs(got-rate) > 0.05*rate {
 		t.Errorf("offered rate %.2f Mb/s, want ~%.2f", got/1e6, rate/1e6)
 	}
@@ -24,7 +33,7 @@ func TestPoissonRate(t *testing.T) {
 
 func TestPoissonExponentialGaps(t *testing.T) {
 	r := sim.NewRand(2)
-	sched := Poisson(r, 2e6, 1000, 0, 20*sim.Second)
+	sched := Collect(NewPoisson(r, 2e6, 1000, 0, 20*sim.Second))
 	if len(sched) < 1000 {
 		t.Fatalf("only %d arrivals", len(sched))
 	}
@@ -51,7 +60,7 @@ func TestPoissonExponentialGaps(t *testing.T) {
 func TestPoissonWindow(t *testing.T) {
 	r := sim.NewRand(3)
 	start, end := 2*sim.Second, 3*sim.Second
-	for _, a := range Poisson(r, 5e6, 1500, start, end) {
+	for _, a := range Collect(NewPoisson(r, 5e6, 1500, start, end)) {
 		if a.At <= start || a.At >= end {
 			t.Fatalf("arrival %v outside (%v, %v)", a.At, start, end)
 		}
@@ -62,7 +71,7 @@ func TestPoissonWindow(t *testing.T) {
 }
 
 func TestCBRSpacing(t *testing.T) {
-	sched := CBR(1.2e6, 1500, 0, sim.Second)
+	sched := Collect(NewCBR(1.2e6, 1500, 0, sim.Second))
 	want := sim.FromSeconds(1500 * 8 / 1.2e6)
 	for i := 1; i < len(sched); i++ {
 		if g := sched[i].At - sched[i-1].At; g != want {
@@ -75,7 +84,7 @@ func TestCBRSpacing(t *testing.T) {
 }
 
 func TestTrain(t *testing.T) {
-	tr := Train(50, 100*sim.Microsecond, 1500, sim.Second)
+	tr := Collect(NewTrain(50, 100*sim.Microsecond, 1500, sim.Second))
 	if len(tr) != 50 {
 		t.Fatalf("len = %d", len(tr))
 	}
@@ -90,15 +99,21 @@ func TestTrain(t *testing.T) {
 }
 
 func TestTrainAtRate(t *testing.T) {
-	// 1500B at 6 Mb/s -> gI = 2ms.
-	tr := TrainAtRate(10, 6e6, 1500, 0)
-	if g := tr[1].At - tr[0].At; g != 2*sim.Millisecond {
-		t.Errorf("gI = %v, want 2ms", g)
+	// A marked CBR flow is a probing train at its rate (the steady-state
+	// probing flow): 1500B at 6 Mb/s -> gI = 2ms (Section 5.3).
+	tr := Collect(Marked(NewCBR(6e6, 1500, 0, 20*sim.Millisecond)))
+	if len(tr) != 10 {
+		t.Fatalf("len = %d, want 10", len(tr))
+	}
+	for i, a := range tr {
+		if a.At != sim.Time(i)*2*sim.Millisecond || !a.Probe || a.Index != i {
+			t.Fatalf("packet %d: %+v, want probe #%d at %v", i, a, i, sim.Time(i)*2*sim.Millisecond)
+		}
 	}
 }
 
 func TestPacketPair(t *testing.T) {
-	pp := PacketPair(1500, sim.Second)
+	pp := Collect(NewTrain(2, 0, 1500, sim.Second))
 	if len(pp) != 2 {
 		t.Fatalf("pair length %d", len(pp))
 	}
@@ -111,9 +126,9 @@ func TestPacketPair(t *testing.T) {
 }
 
 func TestMergeOrderedAndStable(t *testing.T) {
-	a := Train(3, sim.Millisecond, 100, 0)
-	b := Poisson(sim.NewRand(4), 1e6, 500, 0, 5*sim.Millisecond)
-	m := Merge(a, b)
+	a := Collect(NewTrain(3, sim.Millisecond, 100, 0))
+	b := Collect(NewPoisson(sim.NewRand(4), 1e6, 500, 0, 5*sim.Millisecond))
+	m := Collect(MergeSources(FromSchedule(a), FromSchedule(b)))
 	if err := Validate(m); err != nil {
 		t.Fatal(err)
 	}
@@ -121,12 +136,25 @@ func TestMergeOrderedAndStable(t *testing.T) {
 		t.Fatalf("merged %d, want %d", len(m), len(a)+len(b))
 	}
 	// Stability: a probe and a cross packet at the same instant keep
-	// schedule order (probe first here).
-	p := Train(1, 0, 100, 42)
+	// source order (probe first here).
 	c := []Arrival{{At: 42, Size: 200, Index: -1}}
-	m2 := Merge(p, c)
+	m2 := Collect(MergeSources(NewTrain(1, 0, 100, 42), FromSchedule(c)))
 	if !m2[0].Probe || m2[1].Probe {
-		t.Error("Merge not stable for simultaneous arrivals")
+		t.Error("MergeSources not stable for simultaneous arrivals")
+	}
+	// A train whose every packet collides with a CBR instant: at each
+	// shared instant the probe, listed first, stays ahead.
+	m3 := Collect(MergeSources(
+		NewTrain(10, sim.Millisecond, 1500, 0),
+		NewCBR(1500*8*1000, 1500, 0, 10*sim.Millisecond))) // 1ms gap, same instants
+	if len(m3) != 20 {
+		t.Fatalf("merged %d, want 20", len(m3))
+	}
+	for i := 0; i < len(m3); i += 2 {
+		p, x := m3[i], m3[i+1]
+		if !p.Probe || x.Probe || p.At != x.At || p.Index != i/2 {
+			t.Fatalf("arrivals %d,%d: %+v, %+v; want probe #%d then cross at one instant", i, i+1, p, x, i/2)
+		}
 	}
 }
 
@@ -178,10 +206,18 @@ func TestOneErlangNearCapacity(t *testing.T) {
 
 func TestPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"poisson zero rate": func() { Poisson(sim.NewRand(1), 0, 100, 0, 1) },
-		"cbr zero size":     func() { CBR(1e6, 0, 0, 1) },
-		"empty train":       func() { Train(0, 0, 100, 0) },
-		"negative gap":      func() { Train(2, -1, 100, 0) },
+		"poisson zero rate": func() { NewPoisson(sim.NewRand(1), 0, 100, 0, 1) },
+		"poisson NaN rate":  func() { NewPoisson(sim.NewRand(1), math.NaN(), 100, 0, 1) },
+		"poisson +Inf rate": func() { NewPoisson(sim.NewRand(1), math.Inf(1), 100, 0, 1) },
+		"cbr zero size":     func() { NewCBR(1e6, 0, 0, 1) },
+		"cbr NaN rate":      func() { NewCBR(math.NaN(), 1500, 0, 1) },
+		"cbr +Inf rate":     func() { NewCBR(math.Inf(1), 1500, 0, 1) },
+		"cbr -Inf rate":     func() { NewCBR(math.Inf(-1), 1500, 0, 1) },
+		"cbr sub-ns gap":    func() { NewCBR(1e15, 1500, 0, 1) },
+		"onoff +Inf peak":   func() { NewOnOff(sim.NewRand(1), math.Inf(1), 100, 1, 1, 0, 1) },
+		"onoff sub-ns gap":  func() { NewOnOff(sim.NewRand(1), 1e15, 100, 1, 1, 0, 1) },
+		"empty train":       func() { NewTrain(0, 0, 100, 0) },
+		"negative gap":      func() { NewTrain(2, -1, 100, 0) },
 		"negative load":     func() { RateForLoad(phy.B11(), -1, 100) },
 	} {
 		func() {
@@ -199,9 +235,9 @@ func TestPanics(t *testing.T) {
 func TestMergeProperty(t *testing.T) {
 	r := sim.NewRand(77)
 	f := func(seedA, seedB uint16) bool {
-		a := Poisson(r.Split(uint64(seedA)), 1e6+float64(seedA), 500, 0, 100*sim.Millisecond)
-		b := Poisson(r.Split(uint64(seedB)+1e4), 2e6, 1000, 0, 100*sim.Millisecond)
-		return Validate(Merge(a, b)) == nil
+		a := NewPoisson(r.Split(uint64(seedA)), 1e6+float64(seedA), 500, 0, 100*sim.Millisecond)
+		b := NewPoisson(r.Split(uint64(seedB)+1e4), 2e6, 1000, 0, 100*sim.Millisecond)
+		return Validate(Collect(MergeSources(a, b))) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -209,8 +245,8 @@ func TestMergeProperty(t *testing.T) {
 }
 
 func TestMarkProbe(t *testing.T) {
-	sched := CBR(1e6, 500, 0, 10*sim.Millisecond)
-	marked := MarkProbe(sched)
+	sched := Collect(NewCBR(1e6, 500, 0, 10*sim.Millisecond))
+	marked := Collect(Marked(FromSchedule(sched)))
 	if len(marked) != len(sched) {
 		t.Fatalf("length changed: %d vs %d", len(marked), len(sched))
 	}
@@ -218,21 +254,24 @@ func TestMarkProbe(t *testing.T) {
 		if !a.Probe || a.Index != i {
 			t.Fatalf("packet %d not marked: %+v", i, a)
 		}
+		if a.At != sched[i].At || a.Size != sched[i].Size {
+			t.Fatalf("packet %d moved or resized: %+v vs %+v", i, a, sched[i])
+		}
 	}
-	// Original untouched.
+	// Marking stamps copies; the wrapped schedule is untouched.
 	if sched[0].Probe {
-		t.Error("MarkProbe mutated its input")
+		t.Error("Marked mutated its input")
 	}
 }
 
 func TestOnOffMeanRate(t *testing.T) {
 	r := sim.NewRand(31)
 	on, off := 20*sim.Millisecond, 20*sim.Millisecond
-	sched := OnOff(r, 8e6, 1500, on, off, 0, 30*sim.Second)
+	sched := Collect(NewOnOff(r, 8e6, 1500, on, off, 0, 30*sim.Second))
 	if err := Validate(sched); err != nil {
 		t.Fatal(err)
 	}
-	got := float64(Bits(sched)) / 30
+	got := float64(bits(sched)) / 30
 	want := 8e6 * 0.5 // 50% duty cycle
 	if math.Abs(got-want) > 0.15*want {
 		t.Errorf("on/off mean rate %.2f Mb/s, want ~%.2f", got/1e6, want/1e6)
@@ -258,8 +297,8 @@ func TestOnOffBurstierThanPoisson(t *testing.T) {
 		return math.Sqrt(varr/float64(len(gaps))) / mean
 	}
 	r := sim.NewRand(32)
-	bursty := OnOff(r, 8e6, 1500, 10*sim.Millisecond, 30*sim.Millisecond, 0, 20*sim.Second)
-	poisson := Poisson(r, 2e6, 1500, 0, 20*sim.Second)
+	bursty := Collect(NewOnOff(r, 8e6, 1500, 10*sim.Millisecond, 30*sim.Millisecond, 0, 20*sim.Second))
+	poisson := Collect(NewPoisson(r, 2e6, 1500, 0, 20*sim.Second))
 	if cv(bursty) <= cv(poisson)*1.2 {
 		t.Errorf("on/off CV %.2f not clearly above Poisson CV %.2f", cv(bursty), cv(poisson))
 	}
@@ -271,12 +310,5 @@ func TestOnOffPanics(t *testing.T) {
 			t.Fatal("expected panic for zero on-mean")
 		}
 	}()
-	OnOff(sim.NewRand(1), 1e6, 100, 0, 1, 0, 1)
-}
-
-func TestBits(t *testing.T) {
-	sched := []Arrival{{At: 0, Size: 100}, {At: 1, Size: 400}}
-	if got := Bits(sched); got != 4000 {
-		t.Errorf("Bits = %d, want 4000", got)
-	}
+	NewOnOff(sim.NewRand(1), 1e6, 100, 0, 1, 0, 1)
 }
